@@ -23,6 +23,7 @@ from framebias.errors import AnnotationParseError, ShapeMismatchError
 
 MAGIC = b"SIMM"
 VERSION = 1
+_HEADER_BYTES = 13  # magic, version, u32 rows, u32 cols
 
 
 def _check_ids(ids: tuple[str, ...], side: str) -> None:
@@ -132,14 +133,28 @@ def _pack_ids(ids: tuple[str, ...]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_ids(buf: bytes, offset: int) -> tuple[tuple[str, ...], int]:
+def _unpack_ids(buf: bytes, offset: int, expected: int, side: str) -> tuple[tuple[str, ...], int]:
+    size = len(buf)
+    if offset + 4 > size:
+        raise AnnotationParseError(f"SIMM truncated at the {side} id count (offset {offset} of {size} bytes)")
     (count,) = struct.unpack_from("<I", buf, offset)
+    if count != expected:
+        raise AnnotationParseError(f"SIMM {side} id count {count} does not match the matrix's {expected} {side}s")
     offset += 4
     ids = []
-    for _ in range(count):
+    for i in range(count):
+        if offset + 4 > size:
+            raise AnnotationParseError(f"SIMM truncated at {side} id {i} (offset {offset} of {size} bytes)")
         (n,) = struct.unpack_from("<I", buf, offset)
         offset += 4
-        ids.append(buf[offset : offset + n].decode("utf-8"))
+        if offset + n > size:
+            raise AnnotationParseError(
+                f"SIMM truncated in {side} id {i}: {n} bytes at offset {offset}, file has {size}"
+            )
+        try:
+            ids.append(buf[offset : offset + n].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise AnnotationParseError(f"SIMM {side} id {i} at offset {offset} is not UTF-8") from None
         offset += n
     return tuple(ids), offset
 
@@ -159,21 +174,27 @@ def to_binary(matrix: SimilarityMatrix) -> bytes:
 
 
 def from_binary(buf: bytes, kind: str = "similarity") -> SimilarityMatrix:
+    """Decode a SIMM file; any malformed, truncated or padded input raises
+    AnnotationParseError naming the place."""
     if buf[:4] != MAGIC:
         raise AnnotationParseError("not a SIMM matrix file (bad magic)")
+    if len(buf) < _HEADER_BYTES:
+        raise AnnotationParseError(f"SIMM header truncated: {len(buf)} of {_HEADER_BYTES} bytes")
     if buf[4] != VERSION:
         raise AnnotationParseError(f"unsupported SIMM version {buf[4]}")
     nrows, ncols = struct.unpack_from("<II", buf, 5)
-    offset = 13
-    nbytes = nrows * ncols * 8
-    values = np.frombuffer(buf[offset : offset + nbytes], dtype="<f8").reshape(nrows, ncols)
-    offset += nbytes
-    rows, offset = _unpack_ids(buf, offset)
-    cols, offset = _unpack_ids(buf, offset)
-    if len(rows) != nrows or len(cols) != ncols:
-        raise AnnotationParseError("SIMM id list lengths do not match matrix dimensions")
+    offset = _HEADER_BYTES + 8 * nrows * ncols
+    if offset > len(buf):
+        raise AnnotationParseError(
+            f"SIMM truncated in the {nrows}x{ncols} values: they end at offset {offset}, file has {len(buf)} bytes"
+        )
+    rows, offset = _unpack_ids(buf, offset, nrows, "row")
+    cols, offset = _unpack_ids(buf, offset, ncols, "column")
+    if offset != len(buf):
+        raise AnnotationParseError(f"SIMM has {len(buf) - offset} trailing bytes after offset {offset}")
+    values = np.frombuffer(buf, dtype="<f8", count=nrows * ncols, offset=_HEADER_BYTES)
     cls = RelevancyMatrix if kind == "relevancy" else SimilarityMatrix
-    return cls(rows=rows, cols=cols, values=values.astype(np.float64))
+    return cls(rows=rows, cols=cols, values=values.reshape(nrows, ncols))
 
 
 def save_matrix(matrix: SimilarityMatrix, path) -> None:
@@ -191,6 +212,13 @@ def load_matrix(path, kind: str = "similarity") -> SimilarityMatrix:
     """Read either format, sniffing the SIMM magic bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] == MAGIC:
-        return from_binary(raw, kind)
-    return from_text(raw.decode("utf-8"), kind)
+    try:
+        if raw[:4] == MAGIC:
+            return from_binary(raw, kind)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise AnnotationParseError(f"neither a SIMM file nor UTF-8 text (byte {err.start})") from None
+        return from_text(text, kind)
+    except AnnotationParseError as err:
+        raise AnnotationParseError(f"{path}: {err}") from None

@@ -4,6 +4,7 @@ The ranking convention everywhere: gallery items sorted by descending score,
 ties broken by ascending gallery index. Queries with no positive relevance
 are excluded from averages and counted in the report. Aggregate means sum in
 ascending query order, so results do not depend on evaluation schedule.
+Every metric ranks each query once, through one blocked kernel.
 """
 
 from __future__ import annotations
@@ -17,34 +18,66 @@ from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchE
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 
 DIRECTIONS = ("t2v", "v2t", "avg")
+_BLOCK = 128  # queries ranked at once; a block's scratch arrays stay a few MB
+
+
+def _order(scores: np.ndarray) -> np.ndarray:
+    """Rank each row of a block: descending score, ties by ascending index.
+
+    One unstable argsort per row; rows with equal neighbours are re-sorted on
+    the key (run of equal scores, index), which equals a stable argsort.
+    """
+    order = np.argsort(-scores, axis=1)
+    ranked = np.take_along_axis(scores, order, axis=1)
+    new_run = ranked[:, 1:] != ranked[:, :-1]
+    if np.isnan(ranked[:, -1:]).any():  # NaNs sort last; they tie with each other
+        new_run &= ~np.isnan(ranked[:, 1:]) | ~np.isnan(ranked[:, :-1])
+    tied = ~new_run.all(axis=1)
+    if tied.any():
+        n = scores.shape[1]
+        run = np.zeros((int(tied.sum()), n), dtype=np.int64)
+        np.cumsum(new_run[tied], axis=1, out=run[:, 1:])
+        order[tied] = np.sort(run * n + order[tied], axis=1) % n
+    return order
+
+
+def ranked_blocks(values: np.ndarray):
+    """Yield ``(start, stop, scores, order)`` per block of query rows.
+
+    For the v2t direction pass ``matrix.values.T``: each block of that view is
+    copied out contiguous, so no transposed matrix is ever made.
+    """
+    for start in range(0, values.shape[0], _BLOCK):
+        scores = np.ascontiguousarray(values[start : start + _BLOCK])
+        yield start, start + len(scores), scores, _order(scores)
+
+
+def gt_positions(order: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """1-based position of each row's ground-truth gallery index in its ranking."""
+    return 1 + np.argmax(order == gt[:, None], axis=1)
 
 
 def ranking(scores) -> np.ndarray:
     """Gallery indices by descending score; equal scores keep index order."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.argsort(-scores, kind="stable")
+    return _order(np.asarray(scores, dtype=np.float64)[None, :])[0]
 
 
-def build_relevancy(
-    query_classes, gallery_classes, row_ids=None, col_ids=None
-) -> RelevancyMatrix:
+def _codes(classes) -> tuple[np.ndarray, np.ndarray]:
+    """Verb and noun code arrays of action classes or clips."""
+    return np.array([c.verb_class for c in classes]), np.array([c.noun_class for c in classes])
+
+
+def build_relevancy(query_classes, gallery_classes, row_ids=None, col_ids=None) -> RelevancyMatrix:
     """Graded relevance from action classes: half per matching component.
 
     value = 0.5 * (verb match + noun match), so values lie in {0, 0.5, 1}
     and 1 means the full (verb, noun) pair agrees.
     """
-    query_classes = list(query_classes)
-    gallery_classes = list(gallery_classes)
+    query_classes, gallery_classes = list(query_classes), list(gallery_classes)
     if not query_classes or not gallery_classes:
         raise ValueError("query and gallery class lists must be non-empty")
-    qv = np.array([c.verb_class for c in query_classes])
-    qn = np.array([c.noun_class for c in query_classes])
-    gv = np.array([c.verb_class for c in gallery_classes])
-    gn = np.array([c.noun_class for c in gallery_classes])
-    values = 0.5 * (
-        (qv[:, None] == gv[None, :]).astype(np.float64)
-        + (qn[:, None] == gn[None, :]).astype(np.float64)
-    )
+    (qv, qn), (gv, gn) = _codes(query_classes), _codes(gallery_classes)
+    values = 0.5 * ((qv[:, None] == gv).astype(np.float64) + (qn[:, None] == gn))
     rows = tuple(row_ids) if row_ids is not None else tuple(f"q{i}" for i in range(len(query_classes)))
     cols = tuple(col_ids) if col_ids is not None else tuple(f"g{j}" for j in range(len(gallery_classes)))
     return RelevancyMatrix(rows=rows, cols=cols, values=values)
@@ -54,21 +87,12 @@ def class_relevance(a: ActionClass, b: ActionClass) -> float:
     return 0.5 * ((a.verb_class == b.verb_class) + (a.noun_class == b.noun_class))
 
 
-def _rank_of(row: np.ndarray, gt_idx: int, tie: str = "index") -> int:
-    gt_score = row[gt_idx]
-    above = int(np.sum(row > gt_score))
-    if tie == "optimistic":
-        return 1 + above
-    if tie == "pessimistic":
-        return 1 + above + int(np.sum(row == gt_score)) - 1
-    return 1 + above + int(np.sum(row[:gt_idx] == gt_score))
-
-
 def gt_rank(sim: SimilarityMatrix, query_index: int, gt_gallery_id: str) -> int:
     """1-based rank of the ground-truth gallery item for one query."""
     if gt_gallery_id not in sim.col_index:
         raise NotFoundError(f"gallery id {gt_gallery_id!r} not present in matrix columns")
-    return _rank_of(sim.values[query_index], sim.col_index[gt_gallery_id])
+    gt = np.array([sim.col_index[gt_gallery_id]])
+    return int(gt_positions(_order(sim.values[[query_index]]), gt)[0])
 
 
 def recall_at_k(ranks, k: int) -> float:
@@ -81,92 +105,117 @@ def recall_at_k(ranks, k: int) -> float:
     return sum(1 for r in ranks if r <= k) / len(ranks)
 
 
-def _discounts(n: int) -> np.ndarray:
-    return 1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64))
+def _scan(values, relevance, threshold=1.0, depth=None, gt=None):
+    """Per-query nDCG and AP (NaN when degenerate) and the index-tie, optimistic
+    and pessimistic ranks of gallery indices ``gt``. ``relevance(start, stop,
+    order, disc)`` gives a block's relevance in rank order and its ideal DCG."""
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    nq, ng = values.shape
+    disc = 1.0 / np.log2(np.arange(2, (ng if depth is None else min(depth, ng)) + 2))
+    ndcg, ap = np.full((2, nq), np.nan)
+    ranks = np.zeros((3, nq), dtype=np.int64)
+    for start, stop, scores, order in ranked_blocks(values):
+        rel, ideal = relevance(start, stop, order, disc)
+        dcg = (rel[:, : disc.size] * disc).sum(axis=1)
+        np.divide(dcg, ideal, out=ndcg[start:stop], where=(rel > 0).any(axis=1))
+        hits = rel >= threshold
+        precision = np.cumsum(hits, axis=1) / np.arange(1, ng + 1) * hits
+        total = hits.sum(axis=1)
+        np.divide(precision.sum(axis=1), total, out=ap[start:stop], where=total > 0)
+        if gt is not None:
+            g = gt[start:stop]
+            g_score = scores[np.arange(stop - start), g][:, None]
+            above = (scores > g_score).sum(axis=1)
+            ties = (scores == g_score).sum(axis=1)
+            ranks[:, start:stop] = gt_positions(order, g), 1 + above, above + ties
+    return ndcg, ap, ranks
+
+
+def _dense_relevance(rel: np.ndarray):
+    """Relevance read from a dense graded matrix, oriented like the scores."""
+    def relevance(start, stop, order, disc):
+        block = rel[start:stop]
+        ideal = np.sort(block, axis=1)[:, ::-1][:, : disc.size]
+        return np.take_along_axis(block, order, axis=1), (ideal * disc).sum(axis=1)
+    return relevance
+
+
+def _class_relevance(qv, qn, gv, gn):
+    """Relevance from verb/noun codes, gathered straight into rank order; the
+    ideal DCG comes in closed form from the counts of 1.0 and 0.5 relevance."""
+    def relevance(start, stop, order, disc):
+        rel = (gv[order] == qv[start:stop, None]).astype(np.float64)
+        rel += gn[order] == qn[start:stop, None]
+        rel *= 0.5
+        gain = np.concatenate(([0.0], np.cumsum(disc)))
+        full = np.minimum((rel == 1.0).sum(axis=1), disc.size)
+        some = np.minimum((rel > 0.0).sum(axis=1), disc.size)
+        return rel, 0.5 * (gain[full] + gain[some])
+    return relevance
+
+
+def _mean(per_query: np.ndarray) -> float:
+    """Mean over non-degenerate queries, summed in ascending query order."""
+    used = per_query[~np.isnan(per_query)].tolist()
+    if not used:
+        raise DegenerateInputError("every query is degenerate (nothing relevant to rank)")
+    return sum(used) / len(used)
+
+
+def _dense_mean(scores, rels, metric: int, **options) -> float:
+    """Mean of ``_scan`` output ``metric`` (0 nDCG, 1 AP) with dense relevance."""
+    return _mean(_scan(scores, _dense_relevance(rels), **options)[metric])
+
+
+def _query_metric(sim_row, rel_row, metric: int, **options) -> float:
+    scores, rels = np.asarray(sim_row, dtype=np.float64), np.asarray(rel_row, dtype=np.float64)
+    if scores.shape != rels.shape or scores.ndim != 1 or scores.size < 1:
+        raise ShapeMismatchError("score and relevance rows must be equal-length 1-D vectors")
+    return _dense_mean(scores[None, :], rels[None, :], metric, **options)
 
 
 def ndcg_query(sim_row, rel_row, depth: int | None = None) -> float:
     """Normalized discounted cumulative gain of one ranked gallery."""
-    scores = np.asarray(sim_row, dtype=np.float64)
-    rels = np.asarray(rel_row, dtype=np.float64)
-    if scores.shape != rels.shape or scores.ndim != 1 or scores.size < 1:
-        raise ShapeMismatchError("score and relevance rows must be equal-length 1-D vectors")
-    if depth is not None and depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if not np.any(rels > 0):
-        raise DegenerateInputError("query has no positively relevant gallery item")
-    d = scores.size if depth is None else min(depth, scores.size)
-    disc = _discounts(d)
-    ranked = rels[ranking(scores)][:d]
-    ideal = np.sort(rels)[::-1][:d]
-    return float(np.sum(ranked * disc) / np.sum(ideal * disc))
+    return _query_metric(sim_row, rel_row, 0, depth=depth)
 
 
 def average_precision(sim_row, rel_row, threshold: float = 1.0) -> float:
     """AP with relevance binarized at the threshold."""
-    scores = np.asarray(sim_row, dtype=np.float64)
-    rels = np.asarray(rel_row, dtype=np.float64)
-    if scores.shape != rels.shape or scores.ndim != 1 or scores.size < 1:
-        raise ShapeMismatchError("score and relevance rows must be equal-length 1-D vectors")
-    relevant = rels >= threshold
-    total = int(relevant.sum())
-    if total == 0:
-        raise DegenerateInputError("query has no relevant gallery item at this threshold")
-    hits = relevant[ranking(scores)]
-    cum = np.cumsum(hits)
-    positions = np.nonzero(hits)[0] + 1
-    return float(np.sum(cum[hits] / positions) / total)
+    return _query_metric(sim_row, rel_row, 1, threshold=threshold)
 
 
-def _check_aligned(sim: SimilarityMatrix, rel: RelevancyMatrix) -> None:
+def _dense_average(sim, rel, direction: str, metric: int, **options) -> float:
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if sim.rows != rel.rows or sim.cols != rel.cols:
         raise ShapeMismatchError("similarity and relevancy matrices must share id mappings")
-
-
-def _direction_mean(sim: SimilarityMatrix, rel: RelevancyMatrix, per_query) -> float:
-    total = 0.0
-    used = 0
-    for i in range(len(sim.rows)):
-        try:
-            total += per_query(sim.values[i], rel.values[i])
-        except DegenerateInputError:
-            continue
-        used += 1
-    if used == 0:
-        raise DegenerateInputError("every query is degenerate (no positive relevance)")
-    return total / used
+    if direction == "avg":
+        t2v = _dense_average(sim, rel, "t2v", metric, **options)
+        return 0.5 * (t2v + _dense_average(sim, rel, "v2t", metric, **options))
+    pair = (sim.values, rel.values) if direction == "t2v" else (sim.values.T, rel.values.T)
+    return _dense_mean(*pair, metric, **options)
 
 
 def ndcg_average(
     sim: SimilarityMatrix, rel: RelevancyMatrix, direction: str = "avg", depth: int | None = None
 ) -> float:
     """Mean nDCG over non-degenerate queries, per direction or averaged."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    _check_aligned(sim, rel)
-    fn = lambda s, r: ndcg_query(s, r, depth)
-    if direction == "t2v":
-        return _direction_mean(sim, rel, fn)
-    if direction == "v2t":
-        return _direction_mean(sim.transposed(), rel.transposed(), fn)
-    return 0.5 * (ndcg_average(sim, rel, "t2v", depth) + ndcg_average(sim, rel, "v2t", depth))
+    return _dense_average(sim, rel, direction, 0, depth=depth)
 
 
 def map_average(
     sim: SimilarityMatrix, rel: RelevancyMatrix, threshold: float = 1.0, direction: str = "avg"
 ) -> float:
     """Mean AP over non-degenerate queries, per direction or averaged."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    _check_aligned(sim, rel)
-    fn = lambda s, r: average_precision(s, r, threshold)
-    if direction == "t2v":
-        return _direction_mean(sim, rel, fn)
-    if direction == "v2t":
-        return _direction_mean(sim.transposed(), rel.transposed(), fn)
-    return 0.5 * (
-        map_average(sim, rel, threshold, "t2v") + map_average(sim, rel, threshold, "v2t")
-    )
+    return _dense_average(sim, rel, direction, 1, threshold=threshold)
+
+
+def _gallery_clip(sim: SimilarityMatrix, dataset: Dataset, j: int):
+    clip = dataset.by_id.get(sim.cols[j])
+    if clip is None:
+        raise NotFoundError(f"gallery id {sim.cols[j]!r} does not resolve to a clip")
+    return clip
 
 
 def topk_avg_length(sim: SimilarityMatrix, dataset: Dataset, query_index: int, k: int) -> float:
@@ -174,13 +223,7 @@ def topk_avg_length(sim: SimilarityMatrix, dataset: Dataset, query_index: int, k
     if not 1 <= k <= len(sim.cols):
         raise ValueError(f"k must be in [1, {len(sim.cols)}], got {k}")
     order = ranking(sim.values[query_index])[:k]
-    lengths = []
-    for j in order:
-        clip = dataset.by_id.get(sim.cols[j])
-        if clip is None:
-            raise NotFoundError(f"gallery id {sim.cols[j]!r} does not resolve to a clip")
-        lengths.append(frame_length(clip))
-    return sum(lengths) / k
+    return sum(frame_length(_gallery_clip(sim, dataset, j)) for j in order) / k
 
 
 @dataclass(frozen=True)
@@ -203,19 +246,10 @@ def inspect_query(sim: SimilarityMatrix, dataset: Dataset, query_id: str, k: int
         raise NotFoundError(f"query id {query_id!r} does not resolve to a clip")
     row = sim.values[sim.row_index[query_id]]
     out = []
-    for j in ranking(row)[: min(k, len(sim.cols))]:
-        clip = dataset.by_id.get(sim.cols[j])
-        if clip is None:
-            raise NotFoundError(f"gallery id {sim.cols[j]!r} does not resolve to a clip")
-        out.append(
-            InspectEntry(
-                gallery_id=clip.clip_id,
-                score=float(row[j]),
-                caption=clip.caption,
-                frame_length=frame_length(clip),
-                relevance=class_relevance(class_of(query_clip), class_of(clip)),
-            )
-        )
+    for j in ranking(row)[:k]:
+        clip = _gallery_clip(sim, dataset, j)
+        rel = class_relevance(class_of(query_clip), class_of(clip))
+        out.append(InspectEntry(clip.clip_id, float(row[j]), clip.caption, frame_length(clip), rel))
     return out
 
 
@@ -245,54 +279,21 @@ class MetricsReport:
     avg_map: float
 
 
-def _direction_block(
-    sim: SimilarityMatrix,
-    rel: RelevancyMatrix,
-    threshold: float,
-    depth: int | None,
-    recall_ks,
-) -> DirectionMetrics:
-    ndcg_total = ap_total = 0.0
-    ndcg_used = ap_used = 0
-    ranks: list[int] = []
-    ranks_opt: list[int] = []
-    ranks_pes: list[int] = []
-    missing = 0
-    for i, row_id in enumerate(sim.rows):
-        srow = sim.values[i]
-        rrow = rel.values[i]
-        try:
-            ndcg_total += ndcg_query(srow, rrow, depth)
-            ndcg_used += 1
-        except DegenerateInputError:
-            pass
-        try:
-            ap_total += average_precision(srow, rrow, threshold)
-            ap_used += 1
-        except DegenerateInputError:
-            pass
-        gt_idx = sim.col_index.get(row_id)
-        if gt_idx is None:
-            missing += 1
-            continue
-        ranks.append(_rank_of(srow, gt_idx))
-        ranks_opt.append(_rank_of(srow, gt_idx, "optimistic"))
-        ranks_pes.append(_rank_of(srow, gt_idx, "pessimistic"))
-    if ndcg_used == 0 or ap_used == 0:
-        raise DegenerateInputError("every query is degenerate (no positive relevance)")
+def _direction_metrics(ndcg, ap, gt_ranks, has_gt, recall_ks) -> DirectionMetrics:
+    ranks, ranks_opt, ranks_pes = (r[has_gt].tolist() for r in gt_ranks)
     return DirectionMetrics(
-        ndcg=ndcg_total / ndcg_used,
-        map=ap_total / ap_used,
+        ndcg=_mean(ndcg),
+        map=_mean(ap),
         recall={k: recall_at_k(ranks, k) for k in recall_ks} if ranks else {},
         gt_ranks=tuple(ranks),
         mean_rank=sum(ranks) / len(ranks) if ranks else None,
         median_rank=float(np.median(ranks)) if ranks else None,
         mean_rank_optimistic=sum(ranks_opt) / len(ranks_opt) if ranks_opt else None,
         mean_rank_pessimistic=sum(ranks_pes) / len(ranks_pes) if ranks_pes else None,
-        num_queries=len(sim.rows),
-        num_degenerate_ndcg=len(sim.rows) - ndcg_used,
-        num_degenerate_ap=len(sim.rows) - ap_used,
-        num_missing_gt=missing,
+        num_queries=ndcg.size,
+        num_degenerate_ndcg=int(np.isnan(ndcg).sum()),
+        num_degenerate_ap=int(np.isnan(ap).sum()),
+        num_missing_gt=ndcg.size - int(has_gt.sum()),
     )
 
 
@@ -308,24 +309,21 @@ def metrics_report(
     Relevance comes from the clips' action classes; the ground-truth gallery
     item of a query is the entry with the same id on the other axis.
     """
-    row_classes = []
-    for rid in sim.rows:
-        clip = dataset.by_id.get(rid)
-        if clip is None:
-            raise NotFoundError(f"matrix row id {rid!r} does not resolve to a clip")
-        row_classes.append(class_of(clip))
-    col_classes = []
-    for cid in sim.cols:
-        clip = dataset.by_id.get(cid)
-        if clip is None:
-            raise NotFoundError(f"matrix column id {cid!r} does not resolve to a clip")
-        col_classes.append(class_of(clip))
-    rel = build_relevancy(row_classes, col_classes, sim.rows, sim.cols)
-    t2v = _direction_block(sim, rel, threshold, depth, recall_ks)
-    v2t = _direction_block(sim.transposed(), rel.transposed(), threshold, depth, recall_ks)
-    return MetricsReport(
-        t2v=t2v,
-        v2t=v2t,
-        avg_ndcg=0.5 * (t2v.ndcg + v2t.ndcg),
-        avg_map=0.5 * (t2v.map + v2t.map),
-    )
+    for side, ids in (("row", sim.rows), ("column", sim.cols)):
+        missing = next((i for i in ids if i not in dataset.by_id), None)
+        if missing is not None:
+            raise NotFoundError(f"matrix {side} id {missing!r} does not resolve to a clip")
+    if not sim.rows or not sim.cols:
+        raise ValueError("query and gallery class lists must be non-empty")
+    rows, cols = (_codes([dataset.by_id[i] for i in ids]) for ids in (sim.rows, sim.cols))
+    directions = []
+    for values, queries, gallery, query_codes, gallery_codes in (
+        (sim.values, sim.rows, sim.col_index, rows, cols),
+        (sim.values.T, sim.cols, sim.row_index, cols, rows),
+    ):
+        gt = np.array([gallery.get(q, -1) for q in queries])
+        relevance = _class_relevance(*query_codes, *gallery_codes)
+        scan = _scan(values, relevance, threshold, depth, np.maximum(gt, 0))
+        directions.append(_direction_metrics(*scan, gt >= 0, recall_ks))
+    t2v, v2t = directions
+    return MetricsReport(t2v, v2t, 0.5 * (t2v.ndcg + v2t.ndcg), 0.5 * (t2v.map + v2t.map))

@@ -27,7 +27,7 @@ from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
 from framebias.matrices import SimilarityMatrix
-from framebias.metrics import gt_rank, recall_at_k, topk_avg_length
+from framebias.metrics import gt_positions, ranked_blocks, recall_at_k
 
 GENERATOR_ID = "numpy-default-rng-pcg64"
 _NOISE_STREAM = 0x6E6F6973  # keeps clip noise independent of the length draws
@@ -238,15 +238,23 @@ class SweepRow:
 
 
 def _condition_metrics(sim: SimilarityMatrix, dataset: Dataset, topk: int, row_indices=None):
-    indices = range(len(sim.rows)) if row_indices is None else row_indices
-    ranks = [gt_rank(sim, i, sim.rows[i]) for i in indices]
+    """Mean GT rank, recall@10 and mean top-k gallery length over the queries.
+
+    A query's ground truth is the gallery clip with its own id. Each query is
+    ranked once; its top-k length is an integer sum over k.
+    """
+    rows = range(len(sim.rows)) if row_indices is None else list(row_indices)
+    values = sim.values if row_indices is None else sim.values[rows]
+    gt = np.array([sim.col_index[sim.rows[i]] for i in rows], dtype=np.int64)
+    lengths = np.array([frame_length(dataset.by_id[c]) for c in sim.cols], dtype=np.int64)
     k = min(topk, len(sim.cols))
-    lengths = [topk_avg_length(sim, dataset, i, k) for i in indices]
-    return (
-        sum(ranks) / len(ranks),
-        recall_at_k(ranks, 10),
-        sum(lengths) / len(lengths),
-    )
+    if k < 1:
+        raise ValueError(f"k must be in [1, {len(sim.cols)}], got {k}")
+    ranks, topk_means = [], []
+    for start, stop, _, order in ranked_blocks(values):
+        ranks.extend(gt_positions(order, gt[start:stop]).tolist())
+        topk_means.extend((lengths[order[:, :k]].sum(axis=1) / k).tolist())
+    return sum(ranks) / len(ranks), recall_at_k(ranks, 10), sum(topk_means) / len(topk_means)
 
 
 def bias_sweep(
