@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from framebias.dataset import ActionClass, Dataset, frame_length
 from framebias.errors import DegenerateInputError, NotFoundError
 
+# every bin up to the longest clip is materialised (about 100 B each)
+MAX_HISTOGRAM_BINS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ClassStats:
@@ -38,22 +41,15 @@ class LengthHistogram:
     bins: tuple[tuple[int, int, int], ...]  # (bin_start, train_count, test_count)
 
 
-def _mean_lengths(clips) -> float | None:
-    if not clips:
-        return None
-    return sum(frame_length(c) for c in clips) / len(clips)
-
-
-def _stats_for(dataset: Dataset, action_class: ActionClass) -> ClassStats:
-    train = dataset.clips_of(action_class, "train")
-    test = dataset.clips_of(action_class, "test")
-    train_mean = _mean_lengths(train)
-    test_mean = _mean_lengths(test)
-    disc = abs(train_mean - test_mean) if train_mean is not None and test_mean is not None else None
+def stats_from_sums(action_class: ActionClass, train_n: int, train_sum: int, test_n: int, test_sum: int) -> ClassStats:
+    """ClassStats from each split's clip count and integer length sum."""
+    train_mean = train_sum / train_n if train_n else None
+    test_mean = test_sum / test_n if test_n else None
+    disc = abs(train_mean - test_mean) if train_n and test_n else None
     return ClassStats(
         action_class=action_class,
-        train_count=len(train),
-        test_count=len(test),
+        train_count=train_n,
+        test_count=test_n,
         train_mean_len=train_mean,
         test_mean_len=test_mean,
         discrepancy=disc,
@@ -62,7 +58,14 @@ def _stats_for(dataset: Dataset, action_class: ActionClass) -> ClassStats:
 
 def class_stats(dataset: Dataset) -> list[ClassStats]:
     """One entry per action class present, in (verb, noun) order."""
-    return [_stats_for(dataset, ac) for ac in dataset.classes()]
+    by_id = dataset.by_id
+    rows = []
+    for ac in dataset.classes():
+        train, test = dataset.index[ac]["train"], dataset.index[ac]["test"]
+        train_sum = sum(frame_length(by_id[i]) for i in train)
+        test_sum = sum(frame_length(by_id[i]) for i in test)
+        rows.append(stats_from_sums(ac, len(train), train_sum, len(test), test_sum))
+    return rows
 
 
 def global_length_summary(dataset: Dataset) -> tuple[float, float, int, int]:
@@ -71,7 +74,9 @@ def global_length_summary(dataset: Dataset) -> tuple[float, float, int, int]:
     test = dataset.split_clips("test")
     if not train or not test:
         raise DegenerateInputError("global length summary requires non-empty train and test splits")
-    return (_mean_lengths(train), _mean_lengths(test), len(train), len(test))
+    train_sum = sum(map(frame_length, train))
+    test_sum = sum(map(frame_length, test))
+    return (train_sum / len(train), test_sum / len(test), len(train), len(test))
 
 
 def length_histogram(
@@ -98,6 +103,12 @@ def length_histogram(
     if not counts:
         return LengthHistogram(bin_width=bin_width, bins=())
     top = max(counts)
+    if top // bin_width >= MAX_HISTOGRAM_BINS:
+        longest = max(clips, key=frame_length)
+        raise DegenerateInputError(
+            f"histogram needs {top // bin_width + 1} bins of width {bin_width} (limit {MAX_HISTOGRAM_BINS}) "
+            f"for clip {longest.clip_id!r} of {frame_length(longest)} frames"
+        )
     bins = tuple(
         (start, *counts.get(start, (0, 0))) for start in range(0, top + bin_width, bin_width)
     )
@@ -124,6 +135,5 @@ def histogram_csv(hist: LengthHistogram) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["bin_start", "train_count", "test_count"])
-    for bin_start, train_count, test_count in hist.bins:
-        writer.writerow([bin_start, train_count, test_count])
+    writer.writerows(hist.bins)
     return buf.getvalue()

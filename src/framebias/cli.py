@@ -13,6 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from framebias import __version__
+from framebias.atomic import open_atomic
 from framebias.audit import (
     class_stats,
     discrepancy_table,
@@ -55,9 +56,9 @@ def _parse_list(text: str, cast):
         raise ValueError(f"expected comma-separated list, got {text!r}") from None
 
 
-def _load(args):
-    paths = args.annotations if len(args.annotations) > 1 else args.annotations[0]
-    return load_annotations(paths, args.format)
+def _echo(args) -> dict:
+    """The report's config block: every parsed flag, in parser order."""
+    return {("class" if k == "cls" else k): v for k, v in vars(args).items() if k not in ("command", "func")}
 
 
 def _annotation_args(sub) -> None:
@@ -72,7 +73,7 @@ def _annotation_args(sub) -> None:
 
 
 def cmd_audit(args) -> int:
-    dataset = _load(args)
+    dataset = load_annotations(args.annotations, args.format)
     selected = _parse_class(args.cls) if args.cls else None
     hist = length_histogram(dataset, selected, args.bin_width)
     train_mean, test_mean, train_count, test_count = global_length_summary(dataset)
@@ -90,47 +91,34 @@ def cmd_audit(args) -> int:
         "histogram": histogram_dict(hist, selected),
     }
     if args.hist_out:
-        Path(args.hist_out).write_text(histogram_csv(hist), encoding="utf-8")
-    config = {
-        "annotations": args.annotations,
-        "format": args.format,
-        "class": args.cls,
-        "bin_width": args.bin_width,
-        "out": args.out,
-        "hist_out": args.hist_out,
-    }
-    write_report(args.out, build_envelope("audit", config, payload))
+        with open_atomic(args.hist_out) as fh:
+            fh.write(histogram_csv(hist))
+    write_report(args.out, build_envelope("audit", _echo(args), payload))
     return 0
 
 
 def cmd_filter(args) -> int:
-    dataset = _load(args)
+    dataset = load_annotations(args.annotations, args.format)
     filtered, report = filter_margin(
         dataset, FilterConfig(alpha=args.alpha, min_class_size=args.min_class_size)
     )
-    Path(args.out).write_text(to_native_csv(filtered), encoding="utf-8")
+    with open_atomic(args.out) as fh:
+        fh.write(to_native_csv(filtered))
     payload = {
         "filter": {"kind": "margin", "alpha": args.alpha, "min_class_size": args.min_class_size},
         **filter_report_dict(report),
     }
-    config = {
-        "annotations": args.annotations,
-        "format": args.format,
-        "alpha": args.alpha,
-        "min_class_size": args.min_class_size,
-        "out": args.out,
-        "report": args.report,
-    }
-    write_report(args.report, build_envelope("filter", config, payload))
+    write_report(args.report, build_envelope("filter", _echo(args), payload))
     return 0
 
 
 def cmd_filter_one(args) -> int:
-    dataset = _load(args)
+    dataset = load_annotations(args.annotations, args.format)
     action_class = ActionClass(args.verb, args.noun)
     mode = "remove_long" if args.mode == "long" else "remove_short"
     filtered, report = filter_single_class(dataset, action_class, mode, args.fraction)
-    Path(args.out).write_text(to_native_csv(filtered), encoding="utf-8")
+    with open_atomic(args.out) as fh:
+        fh.write(to_native_csv(filtered))
     payload = {
         "filter": {
             "kind": "single_class",
@@ -140,39 +128,21 @@ def cmd_filter_one(args) -> int:
         },
         **filter_report_dict(report),
     }
-    config = {
-        "annotations": args.annotations,
-        "format": args.format,
-        "verb": args.verb,
-        "noun": args.noun,
-        "mode": args.mode,
-        "fraction": args.fraction,
-        "out": args.out,
-        "report": args.report,
-    }
-    write_report(args.report, build_envelope("filter_one", config, payload))
+    write_report(args.report, build_envelope("filter_one", _echo(args), payload))
     return 0
 
 
 def cmd_eval(args) -> int:
-    dataset = _load(args)
+    dataset = load_annotations(args.annotations, args.format)
     sim = load_matrix(args.sim)
     report = metrics_report(sim, dataset, threshold=args.threshold, depth=args.depth)
     payload = {"threshold": args.threshold, "depth": args.depth, **metrics_report_dict(report)}
-    config = {
-        "sim": args.sim,
-        "annotations": args.annotations,
-        "format": args.format,
-        "threshold": args.threshold,
-        "depth": args.depth,
-        "out": args.out,
-    }
-    write_report(args.out, build_envelope("eval", config, payload))
+    write_report(args.out, build_envelope("eval", _echo(args), payload))
     return 0
 
 
 def cmd_inspect(args) -> int:
-    dataset = _load(args)
+    dataset = load_annotations(args.annotations, args.format)
     sim = load_matrix(args.sim)
     entries = inspect_query(sim, dataset, args.query, args.topk)
     print(f"query {args.query}: top {len(entries)} of {len(sim.cols)} gallery clips")
@@ -204,17 +174,10 @@ def cmd_simulate(args) -> int:
     alphas = _parse_list(args.alphas, float)
 
     def emit(seed, alpha, dataset, reference, sim):
-        if alpha is None:
-            (out_dir / f"annotations_seed{seed}.csv").write_text(
-                to_native_csv(dataset), encoding="utf-8"
-            )
-            save_matrix(sim, out_dir / f"sim_seed{seed}_baseline.simm")
-        else:
-            tag = f"seed{seed}_alpha{alpha:g}"
-            (out_dir / f"annotations_{tag}.csv").write_text(
-                to_native_csv(reference), encoding="utf-8"
-            )
-            save_matrix(sim, out_dir / f"sim_{tag}.simm")
+        tag = f"seed{seed}" if alpha is None else f"seed{seed}_alpha{alpha:g}"
+        with open_atomic(out_dir / f"annotations_{tag}.csv") as fh:
+            fh.write(to_native_csv(reference))
+        save_matrix(sim, out_dir / f"sim_{tag}{'_baseline' if alpha is None else ''}.simm")
 
     rows = bias_sweep(
         config, alphas, seeds, min_class_size=args.min_class_size, topk=args.topk,
@@ -228,24 +191,7 @@ def cmd_simulate(args) -> int:
         "topk": args.topk,
         "conditions": [sweep_row_dict(r) for r in rows],
     }
-    config_echo = {
-        "classes": args.classes,
-        "train_per_class": args.train_per_class,
-        "test_per_class": args.test_per_class,
-        "bias": args.bias,
-        "test_offset": args.test_offset,
-        "train_len_mean": args.train_len_mean,
-        "len_stddev": args.len_stddev,
-        "class_spread": args.class_spread,
-        "noise_stddev": args.noise_stddev,
-        "buckets": args.buckets,
-        "min_class_size": args.min_class_size,
-        "topk": args.topk,
-        "seeds": args.seeds,
-        "alphas": args.alphas,
-        "out_dir": args.out_dir,
-    }
-    write_report(out_dir / "sweep_report.json", build_envelope("simulate", config_echo, payload))
+    write_report(out_dir / "sweep_report.json", build_envelope("simulate", _echo(args), payload))
     return 0
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from framebias.errors import AnnotationParseError, ValidationError
 
@@ -35,6 +37,9 @@ EK100_COLUMNS = (
 )
 
 SPLITS = ("train", "test")
+
+_NATIVE_FIELDS = tuple(name for name in NATIVE_COLUMNS if name != "split")
+_SPLIT_AT = NATIVE_COLUMNS.index("split")
 
 
 @dataclass(frozen=True, order=True)
@@ -140,85 +145,48 @@ class Dataset:
         return tuple(self.by_id[i] for i in self.clip_ids(action_class, split))
 
 
-def _int_field(value: str, name: str, line_num: int, label: str) -> int:
+def _int_field(value: str, name: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise AnnotationParseError(
-            f"{label}line {line_num}: field {name!r} must be an integer, got {value!r}"
-        ) from None
+        raise AnnotationParseError(f"field {name!r} must be an integer, got {value!r}") from None
 
 
-def _parse_native(text: str) -> list[ClipRecord]:
+def _parse_rows(text: str, columns: tuple[str, ...], split: str | None, label: str) -> list[ClipRecord]:
+    """Clips of one CSV file; ``columns`` name the ClipRecord fields other than
+    split, in field order. ``split=None`` reads the split per row and requires
+    the native header; a fixed split takes any header holding ``columns``.
+    Every error is prefixed with ``label`` and the line number."""
+    if not text:
+        raise AnnotationParseError(f"{label}empty annotation file")
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise AnnotationParseError("empty annotation file") from None
-    if tuple(header) != NATIVE_COLUMNS:
-        raise AnnotationParseError(
-            f"line 1: expected header {','.join(NATIVE_COLUMNS)}, got {','.join(header)}"
-        )
     clips = []
-    for row in reader:
-        if not row:
-            continue
-        num = reader.line_num
-        if len(row) != len(NATIVE_COLUMNS):
-            raise AnnotationParseError(
-                f"line {num}: expected {len(NATIVE_COLUMNS)} fields, got {len(row)}"
-            )
-        clip_id, video_id, split, start, stop, caption, verb, noun = row
-        if split not in SPLITS:
-            raise AnnotationParseError(f"line {num}: split must be train or test, got {split!r}")
-        clips.append(
-            ClipRecord(
-                clip_id=clip_id,
-                video_id=video_id,
-                split=split,
-                start_frame=_int_field(start, "start_frame", num, ""),
-                stop_frame=_int_field(stop, "stop_frame", num, ""),
-                caption=caption,
-                verb_class=_int_field(verb, "verb_class", num, ""),
-                noun_class=_int_field(noun, "noun_class", num, ""),
-            )
-        )
-    return clips
-
-
-def _parse_ek100(text: str, split: str, label: str) -> list[ClipRecord]:
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise AnnotationParseError(f"{label}: empty annotation file") from None
-    positions = {}
-    for name in EK100_COLUMNS:
-        if name not in header:
-            raise AnnotationParseError(f"{label}line 1: missing required column {name!r}")
-        positions[name] = header.index(name)
-    clips = []
-    for row in reader:
-        if not row:
-            continue
-        num = reader.line_num
-        if len(row) != len(header):
-            raise AnnotationParseError(
-                f"{label}line {num}: expected {len(header)} fields, got {len(row)}"
+        header = next(reader, [])
+        if split is None and tuple(header) != NATIVE_COLUMNS:
+            raise AnnotationParseError(f"expected header {','.join(NATIVE_COLUMNS)}, got {','.join(header)}")
+        for name in columns:
+            if name not in header:
+                raise AnnotationParseError(f"missing required column {name!r}")
+        pick = itemgetter(*(header.index(name) for name in columns))
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise AnnotationParseError(f"expected {len(header)} fields, got {len(row)}")
+            clip_id, video_id, start, stop, caption, verb, noun = pick(row)
+            row_split = split or row[_SPLIT_AT]
+            if row_split not in SPLITS:
+                raise AnnotationParseError(f"split must be train or test, got {row_split!r}")
+            clips.append(
+                ClipRecord(
+                    clip_id, video_id, row_split,
+                    _int_field(start, "start_frame"), _int_field(stop, "stop_frame"),
+                    caption, _int_field(verb, "verb_class"), _int_field(noun, "noun_class"),
+                )
             )
-        get = lambda name: row[positions[name]]
-        clips.append(
-            ClipRecord(
-                clip_id=get("narration_id"),
-                video_id=get("video_id"),
-                split=split,
-                start_frame=_int_field(get("start_frame"), "start_frame", num, label),
-                stop_frame=_int_field(get("stop_frame"), "stop_frame", num, label),
-                caption=get("narration"),
-                verb_class=_int_field(get("verb_class"), "verb_class", num, label),
-                noun_class=_int_field(get("noun_class"), "noun_class", num, label),
-            )
-        )
+    except (csv.Error, AnnotationParseError) as err:
+        raise AnnotationParseError(f"{label}line {reader.line_num}: {err}") from None
     return clips
 
 
@@ -233,37 +201,34 @@ def parse_annotations(source, fmt: str = "native") -> Dataset:
     if fmt == "native":
         if not isinstance(source, str):
             raise ValueError("native format expects a single file's text content")
-        clips = _parse_native(source)
+        clips = _parse_rows(source, _NATIVE_FIELDS, None, "")
     elif fmt == "ek100_pair":
         try:
             train_text, test_text = source
         except (TypeError, ValueError):
             raise ValueError("ek100_pair format expects (train_text, test_text)") from None
-        clips = _parse_ek100(train_text, "train", "train file, ")
-        clips += _parse_ek100(test_text, "test", "test file, ")
+        clips = _parse_rows(train_text, EK100_COLUMNS, "train", "train file, ")
+        clips += _parse_rows(test_text, EK100_COLUMNS, "test", "test file, ")
     else:
         raise ValueError(f"unknown annotation format {fmt!r}")
     return Dataset(clips=tuple(clips))
 
 
 def load_annotations(paths, fmt: str = "native") -> Dataset:
-    """Read one path (native) or a (train, test) path pair (ek100_pair)."""
-    if fmt == "native":
-        if isinstance(paths, (list, tuple)):
-            if len(paths) != 1:
-                raise ValueError("native format expects exactly one path")
-            paths = paths[0]
-        with open(paths, encoding="utf-8", newline="") as fh:
-            return parse_annotations(fh.read(), fmt)
-    if fmt == "ek100_pair":
-        if not isinstance(paths, (list, tuple)) or len(paths) != 2:
-            raise ValueError("ek100_pair format expects (train_path, test_path)")
-        texts = []
-        for p in paths:
-            with open(p, encoding="utf-8", newline="") as fh:
+    """Read one path (native) or a (train, test) path pair (ek100_pair) and
+    parse it; every AnnotationParseError names the file(s)."""
+    paths = [paths] if isinstance(paths, (str, os.PathLike)) else list(paths)
+    texts = []
+    for path in paths:
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
                 texts.append(fh.read())
-        return parse_annotations(tuple(texts), fmt)
-    raise ValueError(f"unknown annotation format {fmt!r}")
+        except UnicodeDecodeError as err:
+            raise AnnotationParseError(f"{path}: not UTF-8 text (byte {err.start})") from None
+    try:
+        return parse_annotations(texts[0] if len(texts) == 1 else tuple(texts), fmt)
+    except AnnotationParseError as err:
+        raise AnnotationParseError(f"{', '.join(map(str, paths))}: {err}") from None
 
 
 def to_native_csv(dataset: Dataset) -> str:
@@ -271,8 +236,5 @@ def to_native_csv(dataset: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(NATIVE_COLUMNS)
-    for c in dataset.clips:
-        writer.writerow(
-            [c.clip_id, c.video_id, c.split, c.start_frame, c.stop_frame, c.caption, c.verb_class, c.noun_class]
-        )
+    writer.writerows(map(attrgetter(*NATIVE_COLUMNS), dataset.clips))
     return buf.getvalue()

@@ -17,9 +17,8 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
-from framebias.audit import ClassStats
+from framebias.audit import ClassStats, stats_from_sums
 from framebias.dataset import ActionClass, ClipRecord, Dataset, frame_length
 from framebias.errors import NotFoundError, ShapeMismatchError
 from framebias.matrices import SimilarityMatrix
@@ -40,7 +39,6 @@ class FilterConfig:
 
     alpha: float
     min_class_size: int = 11
-    deterministic_seedless: ClassVar[bool] = True  # the filter has no random state
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -66,20 +64,6 @@ class FilterReport:
     removed_count: int
     classes_touched: int
     removed_fraction: float
-
-
-def _stats(action_class: ActionClass, train_n: int, train_sum: int, test_n: int, test_sum: int) -> ClassStats:
-    train_mean = train_sum / train_n if train_n else None
-    test_mean = test_sum / test_n if test_n else None
-    disc = abs(train_mean - test_mean) if train_n and test_n else None
-    return ClassStats(
-        action_class=action_class,
-        train_count=train_n,
-        test_count=test_n,
-        train_mean_len=train_mean,
-        test_mean_len=test_mean,
-        discrepancy=disc,
-    )
 
 
 def _greedy_class_removals(
@@ -136,7 +120,7 @@ def filter_margin(dataset: Dataset, config: FilterConfig) -> tuple[Dataset, Filt
         test = dataset.clips_of(ac, "test")
         train_sum = sum(frame_length(c) for c in train)
         test_sum = sum(frame_length(c) for c in test)
-        before = _stats(ac, len(train), train_sum, len(test), test_sum)
+        before = stats_from_sums(ac, len(train), train_sum, len(test), test_sum)
         if not train:
             outcomes.append(ClassFilterOutcome(ac, before, before, SKIPPED_NO_TRAIN))
             continue
@@ -146,7 +130,7 @@ def filter_margin(dataset: Dataset, config: FilterConfig) -> tuple[Dataset, Filt
         removed, reason = _greedy_class_removals(train, test_sum, len(test), config)
         removed_set = set(removed)
         kept_sum = train_sum - sum(frame_length(c) for c in train if c.clip_id in removed_set)
-        after = _stats(ac, len(train) - len(removed), kept_sum, len(test), test_sum)
+        after = stats_from_sums(ac, len(train) - len(removed), kept_sum, len(test), test_sum)
         outcomes.append(ClassFilterOutcome(ac, before, after, reason))
         removed_ids.extend(removed)
     return _finalize(dataset, removed_ids, outcomes)
@@ -168,16 +152,14 @@ def filter_single_class(
         raise ValueError(f"class {action_class} has {len(train)} train clips; need >= 2")
     # guard against float noise pushing an exact product just above an integer
     count = max(1, math.ceil(fraction * len(train) - 1e-9))
-    if mode == "remove_long":
-        order = sorted(train, key=lambda c: (-frame_length(c), c.clip_id))
-    else:
-        order = sorted(train, key=lambda c: (frame_length(c), c.clip_id))
+    sign = -1 if mode == "remove_long" else 1
+    order = sorted(train, key=lambda c: (sign * frame_length(c), c.clip_id))
     removed = [c.clip_id for c in order[:count]]
     train_sum = sum(frame_length(c) for c in train)
     test_sum = sum(frame_length(c) for c in test)
-    before = _stats(action_class, len(train), train_sum, len(test), test_sum)
+    before = stats_from_sums(action_class, len(train), train_sum, len(test), test_sum)
     kept_sum = train_sum - sum(frame_length(c) for c in order[:count])
-    after = _stats(action_class, len(train) - count, kept_sum, len(test), test_sum)
+    after = stats_from_sums(action_class, len(train) - count, kept_sum, len(test), test_sum)
     outcome = ClassFilterOutcome(action_class, before, after, FRACTION_REMOVED)
     return _finalize(dataset, removed, [outcome])
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from framebias.atomic import open_atomic
 from framebias.errors import AnnotationParseError, ShapeMismatchError
 
 MAGIC = b"SIMM"
@@ -99,29 +100,27 @@ def to_text(matrix: SimilarityMatrix) -> str:
     return buf.getvalue()
 
 
-def from_text(text: str, kind: str = "similarity") -> SimilarityMatrix:
+def from_text(text: str) -> SimilarityMatrix:
+    if not text:
+        raise AnnotationParseError("empty matrix file")
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise AnnotationParseError("empty matrix file") from None
-    cols = tuple(header[1:])
     rows = []
     data = []
-    for rec in reader:
-        if not rec:
-            continue
-        if len(rec) != len(cols) + 1:
-            raise AnnotationParseError(
-                f"matrix line {reader.line_num}: expected {len(cols) + 1} fields, got {len(rec)}"
-            )
-        rows.append(rec[0])
-        try:
+    try:
+        cols = tuple(next(reader, [])[1:])
+        for rec in reader:
+            if not rec:
+                continue
+            if len(rec) != len(cols) + 1:
+                raise AnnotationParseError(f"expected {len(cols) + 1} fields, got {len(rec)}")
+            rows.append(rec[0])
             data.append([float(v) for v in rec[1:]])
-        except ValueError:
-            raise AnnotationParseError(f"matrix line {reader.line_num}: non-numeric value") from None
-    cls = RelevancyMatrix if kind == "relevancy" else SimilarityMatrix
-    return cls(rows=tuple(rows), cols=cols, values=np.array(data, dtype=np.float64).reshape(len(rows), len(cols)))
+    except ValueError:
+        raise AnnotationParseError(f"matrix line {reader.line_num}: non-numeric value") from None
+    except (csv.Error, AnnotationParseError) as err:
+        raise AnnotationParseError(f"matrix line {reader.line_num}: {err}") from None
+    values = np.array(data, dtype=np.float64).reshape(len(rows), len(cols))
+    return SimilarityMatrix(rows=tuple(rows), cols=cols, values=values)
 
 
 def _pack_ids(ids: tuple[str, ...]) -> bytes:
@@ -173,7 +172,7 @@ def to_binary(matrix: SimilarityMatrix) -> bytes:
     )
 
 
-def from_binary(buf: bytes, kind: str = "similarity") -> SimilarityMatrix:
+def from_binary(buf: bytes) -> SimilarityMatrix:
     """Decode a SIMM file; any malformed, truncated or padded input raises
     AnnotationParseError naming the place."""
     if buf[:4] != MAGIC:
@@ -193,32 +192,30 @@ def from_binary(buf: bytes, kind: str = "similarity") -> SimilarityMatrix:
     if offset != len(buf):
         raise AnnotationParseError(f"SIMM has {len(buf) - offset} trailing bytes after offset {offset}")
     values = np.frombuffer(buf, dtype="<f8", count=nrows * ncols, offset=_HEADER_BYTES)
-    cls = RelevancyMatrix if kind == "relevancy" else SimilarityMatrix
-    return cls(rows=rows, cols=cols, values=values.reshape(nrows, ncols))
+    return SimilarityMatrix(rows=rows, cols=cols, values=values.reshape(nrows, ncols))
 
 
 def save_matrix(matrix: SimilarityMatrix, path) -> None:
     """Write binary when the path ends in .simm, text otherwise."""
-    path = str(path)
-    if path.endswith(".simm"):
-        with open(path, "wb") as fh:
+    if str(path).endswith(".simm"):
+        with open_atomic(path, "wb") as fh:
             fh.write(to_binary(matrix))
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_atomic(path) as fh:
             fh.write(to_text(matrix))
 
 
-def load_matrix(path, kind: str = "similarity") -> SimilarityMatrix:
+def load_matrix(path) -> SimilarityMatrix:
     """Read either format, sniffing the SIMM magic bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         if raw[:4] == MAGIC:
-            return from_binary(raw, kind)
+            return from_binary(raw)
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as err:
             raise AnnotationParseError(f"neither a SIMM file nor UTF-8 text (byte {err.start})") from None
-        return from_text(text, kind)
+        return from_text(text)
     except AnnotationParseError as err:
         raise AnnotationParseError(f"{path}: {err}") from None

@@ -7,15 +7,15 @@ repeated runs produce byte-identical files (modulo the timestamp).
 from __future__ import annotations
 
 import json
-import os
 from datetime import datetime, timezone
 
 from framebias import __version__
+from framebias.atomic import open_atomic
 from framebias.audit import ClassStats, LengthHistogram
 from framebias.dataset import ActionClass
 from framebias.filtering import FilterReport
 from framebias.metrics import DirectionMetrics, MetricsReport
-from framebias.simulate import AblationRow, SweepRow
+from framebias.simulate import SweepRow
 
 
 def round6(value):
@@ -111,15 +111,6 @@ def sweep_row_dict(row: SweepRow) -> dict:
     }
 
 
-def ablation_row_dict(row: AblationRow) -> dict:
-    return {
-        "seed": row.seed,
-        "mode": row.mode,
-        "mean_gt_rank": row.mean_gt_rank,
-        "mean_topk_len": row.mean_topk_len,
-    }
-
-
 def build_envelope(command: str, config: dict, payload: dict) -> dict:
     return {
         "tool_version": __version__,
@@ -132,8 +123,6 @@ def build_envelope(command: str, config: dict, payload: dict) -> dict:
 
 def write_report(path, envelope: dict) -> None:
     """Write atomically: a report file either exists complete or not at all."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(envelope, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)

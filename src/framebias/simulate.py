@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from framebias.audit import class_stats
 from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
@@ -148,12 +149,7 @@ def _match_components(dataset: Dataset, config: SimConfig, train_reference: Data
     if not ref_train:
         raise DegenerateInputError("train reference has no train clips")
 
-    ref_sums: dict[ActionClass, list[int]] = {}
-    for clip in ref_train:
-        cell = ref_sums.setdefault(class_of(clip), [0, 0])
-        cell[0] += frame_length(clip)
-        cell[1] += 1
-    ref_means = {ac: s / n for ac, (s, n) in ref_sums.items()}
+    ref_means = {s.action_class: s.train_mean_len for s in class_stats(train_reference) if s.train_count}
     global_mean = sum(frame_length(c) for c in ref_train) / len(ref_train)
 
     bucket, lo, hi = _bucketer(

@@ -1,0 +1,98 @@
+"""Annotation and matrix CSV input under damage, down to the CLI, and the
+histogram size bound."""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from framebias.audit import length_histogram
+from framebias.cli import main
+from framebias.dataset import ClipRecord, Dataset, load_annotations, parse_annotations
+from framebias.errors import AnnotationParseError, DegenerateInputError, FrameBiasError
+from framebias.matrices import from_text
+
+DATA = Path(__file__).parent / "data"
+TINY = (DATA / "tiny.csv").read_bytes()
+HEADER = "clip_id,video_id,split,start_frame,stop_frame,caption,verb_class,noun_class"
+HUGE_FIELD = "x" * 200_000  # beyond the csv module's default 131072-char field limit
+
+
+@st.composite
+def damaged_tiny(draw):
+    if draw(st.booleans()):
+        return TINY[: draw(st.integers(0, len(TINY) - 1))]
+    at = draw(st.integers(0, len(TINY) - 1))
+    return TINY[:at] + bytes([draw(st.integers(0, 255))]) + TINY[at + 1 :]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damaged_tiny())
+def test_damaged_csv_loads_or_raises_toolkit_error(tmp_path, raw):
+    path = tmp_path / "damaged.csv"
+    path.write_bytes(raw)
+    try:
+        assert isinstance(load_annotations(path), Dataset)
+    except FrameBiasError:
+        pass
+
+
+def test_oversized_field_names_line():
+    text = f"{HEADER}\na,v1,train,0,4,x,1,1\nb,v1,train,0,4,{HUGE_FIELD},1,1\n"
+    with pytest.raises(AnnotationParseError, match="line 3"):
+        parse_annotations(text)
+    with pytest.raises(AnnotationParseError, match="train file, line 1"):
+        parse_annotations((f"narration_id,{HUGE_FIELD}\n", ""), fmt="ek100_pair")
+
+
+def test_oversized_matrix_field_names_line():
+    with pytest.raises(AnnotationParseError, match="matrix line 2"):
+        from_text(f",g1\nq1,{HUGE_FIELD}\n")
+
+
+def test_parse_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{HEADER}\na,v1,validation,0,4,x,1,1\n", encoding="utf-8")
+    with pytest.raises(AnnotationParseError, match=r"bad\.csv: line 2: split"):
+        load_annotations(path)
+    ek_train = DATA / "tiny_ek_train.csv"
+    with pytest.raises(AnnotationParseError, match=r"tiny_ek_train\.csv: line 1: expected header"):
+        load_annotations(ek_train)
+    with pytest.raises(AnnotationParseError, match=r"tiny_ek_train\.csv, .*bad\.csv: test file, line 1: missing"):
+        load_annotations([ek_train, path], fmt="ek100_pair")
+
+
+def test_non_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(f"{HEADER}\na,v1,train,0,4,caf\xe9,1,1\n".encode("latin-1"))
+    with pytest.raises(AnnotationParseError, match=r"latin1\.csv: not UTF-8 text \(byte"):
+        load_annotations(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        f"{HEADER}\na,v1,train,0,4,{HUGE_FIELD},1,1\n".encode(),
+        f"{HEADER}\na,v1,train,0,4,caf\xe9,1,1\n".encode("latin-1"),
+    ],
+    ids=["oversized-field", "non-utf8"],
+)
+def test_cli_audit_rejects_bad_csv_in_one_line(tmp_path, capsys, content):
+    path = tmp_path / "ann.csv"
+    path.write_bytes(content)
+    assert main(["audit", "--annotations", str(path), "--out", str(tmp_path / "audit.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "ann.csv" in lines[0]
+    assert not (tmp_path / "audit.json").exists()
+
+
+def test_histogram_bin_count_is_bounded():
+    longest = 2_000_001
+    clips = (
+        ClipRecord("short", "v", "train", 0, 9, "c", 1, 1),
+        ClipRecord("long", "v", "test", 0, longest - 1, "c", 1, 1),
+    )
+    for bin_width in (1, 2):  # 2,000,002 and 1,000,001 bins
+        with pytest.raises(DegenerateInputError, match=f"'long' of {longest} frames"):
+            length_histogram(Dataset(clips=clips), bin_width=bin_width)

@@ -320,7 +320,6 @@ class TestFilterConfig:
         with pytest.raises(ValueError):
             FilterConfig(alpha=0, min_class_size=0)
         assert FilterConfig(alpha=0).min_class_size == 11
-        assert FilterConfig.deterministic_seedless is True
 
 
 class TestSumSimilarity:

