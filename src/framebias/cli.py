@@ -77,6 +77,7 @@ def cmd_audit(args) -> int:
     selected = _parse_class(args.cls) if args.cls else None
     hist = length_histogram(dataset, selected, args.bin_width)
     train_mean, test_mean, train_count, test_count = global_length_summary(dataset)
+    stats = class_stats(dataset)
     payload = {
         "num_clips": len(dataset),
         "num_classes": len(dataset.classes()),
@@ -86,8 +87,8 @@ def cmd_audit(args) -> int:
             "train_count": train_count,
             "test_count": test_count,
         },
-        "class_stats": [class_stats_dict(s) for s in class_stats(dataset)],
-        "discrepancy_table": [class_stats_dict(s) for s in discrepancy_table(dataset)],
+        "class_stats": [class_stats_dict(s) for s in stats],
+        "discrepancy_table": [class_stats_dict(s) for s in discrepancy_table(stats)],
         "histogram": histogram_dict(hist, selected),
     }
     if args.hist_out:

@@ -152,11 +152,12 @@ def _int_field(value: str, name: str) -> int:
         raise AnnotationParseError(f"field {name!r} must be an integer, got {value!r}") from None
 
 
-def _parse_rows(text: str, columns: tuple[str, ...], split: str | None, label: str) -> list[ClipRecord]:
+def _parse_rows(text: str, columns: tuple[str, ...], split: str | None, label: str, seen: set[str]) -> list[ClipRecord]:
     """Clips of one CSV file; ``columns`` name the ClipRecord fields other than
     split, in field order. ``split=None`` reads the split per row and requires
     the native header; a fixed split takes any header holding ``columns``.
-    Every error is prefixed with ``label`` and the line number."""
+    ``seen`` holds the clip ids read so far and gains this file's. Every error
+    is prefixed with ``label`` and the line number."""
     if not text:
         raise AnnotationParseError(f"{label}empty annotation file")
     reader = csv.reader(io.StringIO(text))
@@ -175,6 +176,9 @@ def _parse_rows(text: str, columns: tuple[str, ...], split: str | None, label: s
             if len(row) != len(header):
                 raise AnnotationParseError(f"expected {len(header)} fields, got {len(row)}")
             clip_id, video_id, start, stop, caption, verb, noun = pick(row)
+            if clip_id in seen:
+                raise ValidationError(f"duplicate clip_id {clip_id!r}")
+            seen.add(clip_id)
             row_split = split or row[_SPLIT_AT]
             if row_split not in SPLITS:
                 raise AnnotationParseError(f"split must be train or test, got {row_split!r}")
@@ -185,8 +189,9 @@ def _parse_rows(text: str, columns: tuple[str, ...], split: str | None, label: s
                     caption, _int_field(verb, "verb_class"), _int_field(noun, "noun_class"),
                 )
             )
-    except (csv.Error, AnnotationParseError) as err:
-        raise AnnotationParseError(f"{label}line {reader.line_num}: {err}") from None
+    except (csv.Error, AnnotationParseError, ValidationError) as err:
+        kind = ValidationError if isinstance(err, ValidationError) else AnnotationParseError
+        raise kind(f"{label}line {reader.line_num}: {err}") from None
     return clips
 
 
@@ -201,14 +206,15 @@ def parse_annotations(source, fmt: str = "native") -> Dataset:
     if fmt == "native":
         if not isinstance(source, str):
             raise ValueError("native format expects a single file's text content")
-        clips = _parse_rows(source, _NATIVE_FIELDS, None, "")
+        clips = _parse_rows(source, _NATIVE_FIELDS, None, "", set())
     elif fmt == "ek100_pair":
         try:
             train_text, test_text = source
         except (TypeError, ValueError):
             raise ValueError("ek100_pair format expects (train_text, test_text)") from None
-        clips = _parse_rows(train_text, EK100_COLUMNS, "train", "train file, ")
-        clips += _parse_rows(test_text, EK100_COLUMNS, "test", "test file, ")
+        seen: set[str] = set()
+        clips = _parse_rows(train_text, EK100_COLUMNS, "train", "train file, ", seen)
+        clips += _parse_rows(test_text, EK100_COLUMNS, "test", "test file, ", seen)
     else:
         raise ValueError(f"unknown annotation format {fmt!r}")
     return Dataset(clips=tuple(clips))
@@ -216,7 +222,7 @@ def parse_annotations(source, fmt: str = "native") -> Dataset:
 
 def load_annotations(paths, fmt: str = "native") -> Dataset:
     """Read one path (native) or a (train, test) path pair (ek100_pair) and
-    parse it; every AnnotationParseError names the file(s)."""
+    parse it; every parse or validation error names the file(s)."""
     paths = [paths] if isinstance(paths, (str, os.PathLike)) else list(paths)
     texts = []
     for path in paths:
@@ -227,8 +233,8 @@ def load_annotations(paths, fmt: str = "native") -> Dataset:
             raise AnnotationParseError(f"{path}: not UTF-8 text (byte {err.start})") from None
     try:
         return parse_annotations(texts[0] if len(texts) == 1 else tuple(texts), fmt)
-    except AnnotationParseError as err:
-        raise AnnotationParseError(f"{', '.join(map(str, paths))}: {err}") from None
+    except (AnnotationParseError, ValidationError) as err:
+        raise type(err)(f"{', '.join(map(str, paths))}: {err}") from None
 
 
 def to_native_csv(dataset: Dataset) -> str:

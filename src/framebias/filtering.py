@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from framebias.audit import ClassStats, stats_from_sums
 from framebias.dataset import ActionClass, ClipRecord, Dataset, frame_length
@@ -66,23 +65,30 @@ class FilterReport:
     removed_fraction: float
 
 
+def _margin_ratio(alpha: float) -> tuple[int, int]:
+    """(num, den) with ``gap * den <= num * d`` iff ``Fraction(gap, d) <= alpha``
+    (d > 0); as with Fraction, alpha = +inf always holds and nan never does."""
+    return alpha.as_integer_ratio() if math.isfinite(alpha) else (1 if alpha > 0 else -1, 0)
+
+
 def _greedy_class_removals(
     train: tuple[ClipRecord, ...], test_sum: int, test_n: int, config: FilterConfig
-) -> tuple[list[str], str]:
-    """Removal ids (in order) and the stop reason for one class."""
+) -> tuple[list[str], str, int]:
+    """Removal ids (in order), the stop reason and the kept length sum for one class."""
     entries = sorted((frame_length(c), c.clip_id) for c in train)
     lengths = [e[0] for e in entries]
     n = len(entries)
     total = sum(lengths)
     t_sum, t_n = test_sum, test_n
+    num, den = _margin_ratio(config.alpha)
     removed: list[str] = []
     while True:
-        # |train_mean - target| <= alpha; Fraction-vs-float compares exactly
+        # |train_mean - target| = gap / (n * t_n) <= alpha, exactly
         gap = abs(t_n * total - n * t_sum)
-        if Fraction(gap, n * t_n) <= config.alpha:
-            return removed, STOP_WITHIN_MARGIN
+        if gap * den <= num * n * t_n:
+            return removed, STOP_WITHIN_MARGIN, total
         if n - 1 < config.min_class_size:
-            return removed, STOP_SIZE_FLOOR
+            return removed, STOP_SIZE_FLOOR, total
         # Removing length l leaves gap |K - t_n*l| / ((n-1)*t_n) where
         # K = t_n*total - t_sum*(n-1); best l is the one nearest K/t_n.
         k_scaled = t_n * total - t_sum * (n - 1)
@@ -103,7 +109,7 @@ def _greedy_class_removals(
                 best, best_key = idx, key
         length, clip_id = entries[best]
         if abs(k_scaled - t_n * length) * n >= gap * (n - 1):
-            return removed, STOP_NO_IMPROVEMENT
+            return removed, STOP_NO_IMPROVEMENT, total
         entries.pop(best)
         lengths.pop(best)
         total -= length
@@ -127,9 +133,7 @@ def filter_margin(dataset: Dataset, config: FilterConfig) -> tuple[Dataset, Filt
         if not test:
             outcomes.append(ClassFilterOutcome(ac, before, before, SKIPPED_NO_TEST))
             continue
-        removed, reason = _greedy_class_removals(train, test_sum, len(test), config)
-        removed_set = set(removed)
-        kept_sum = train_sum - sum(frame_length(c) for c in train if c.clip_id in removed_set)
+        removed, reason, kept_sum = _greedy_class_removals(train, test_sum, len(test), config)
         after = stats_from_sums(ac, len(train) - len(removed), kept_sum, len(test), test_sum)
         outcomes.append(ClassFilterOutcome(ac, before, after, reason))
         removed_ids.extend(removed)

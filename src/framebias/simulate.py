@@ -9,6 +9,11 @@ length matches its class's average TRAIN length, so a train/test length
 offset degrades ground-truth retrieval, and re-deriving train means from a
 filtered train set mimics retraining after debiasing.
 
+No embedding is materialised: per test clip, a class index, a caption bucket
+and a clip bucket give the class and bucket matches, the noise-free score is
+a lookup in a 4-entry table by (class match, bucket match), and each
+caption's noise is added as two rows of the transposed noise matrix.
+
 The noise stream is a fixed function of the seed and matrix shape, not of
 the train reference, so regenerating similarities after filtering changes
 only the length-bucket term. Everything is a pure function of (config, seed);
@@ -141,7 +146,8 @@ def _bucketer(config: SimConfig, lengths) -> tuple:
 
 
 def _match_components(dataset: Dataset, config: SimConfig, train_reference: Dataset):
-    """Class-match and bucket-match indicator matrices plus provenance."""
+    """Per-clip codes (``qi``: class index, ``qb``/``cb``: caption/clip bucket),
+    the boolean class-match and bucket-match matrices they give, provenance."""
     test_clips = dataset.split_clips("test")
     if not test_clips:
         raise DegenerateInputError("dataset has no test clips to embed")
@@ -150,30 +156,20 @@ def _match_components(dataset: Dataset, config: SimConfig, train_reference: Data
         raise DegenerateInputError("train reference has no train clips")
 
     ref_means = {s.action_class: s.train_mean_len for s in class_stats(train_reference) if s.train_count}
-    global_mean = sum(frame_length(c) for c in ref_train) / len(ref_train)
+    ref_lengths = [frame_length(c) for c in ref_train]
+    test_lengths = [frame_length(c) for c in test_clips]
+    global_mean = sum(ref_lengths) / len(ref_train)
+    bucket, lo, hi = _bucketer(config, ref_lengths + test_lengths)
 
-    bucket, lo, hi = _bucketer(
-        config, [frame_length(c) for c in ref_train] + [frame_length(c) for c in test_clips]
-    )
-
-    fallback: list[str] = []
-    query_buckets = []
     classes = [class_of(c) for c in test_clips]
-    for ac in classes:
-        mean = ref_means.get(ac)
-        if mean is None:
-            mean = global_mean
-            name = str(ac)
-            if name not in fallback:
-                fallback.append(name)
-        query_buckets.append(bucket(mean))
-    clip_buckets = [bucket(frame_length(c)) for c in test_clips]
-
-    class_arr = np.array([(ac.verb_class, ac.noun_class) for ac in classes])
-    class_match = np.all(class_arr[:, None, :] == class_arr[None, :, :], axis=2).astype(np.float64)
-    qb = np.array(query_buckets)
-    cb = np.array(clip_buckets)
-    bucket_match = (qb[:, None] == cb[None, :]).astype(np.float64)
+    class_idx = {ac: i for i, ac in enumerate(sorted({*classes, *train_reference.index}))}
+    first_seen = dict.fromkeys(classes)
+    fallback = [str(ac) for ac in first_seen if ac not in ref_means]
+    codes = {ac: (class_idx[ac], bucket(ref_means.get(ac, global_mean))) for ac in first_seen}
+    qi, qb = np.array([codes[ac] for ac in classes]).T
+    cb = np.array([bucket(x) for x in test_lengths])
+    class_match = qi[:, None] == qi[None, :]
+    bucket_match = qb[:, None] == cb[None, :]
     provenance = {
         "generator": GENERATOR_ID,
         "bucket_low": lo,
@@ -181,7 +177,7 @@ def _match_components(dataset: Dataset, config: SimConfig, train_reference: Data
         "fallback_classes": fallback,
         "config": asdict(config),
     }
-    return test_clips, classes, query_buckets, class_match, bucket_match, provenance
+    return test_clips, len(class_idx), qi, qb, class_match, bucket_match, provenance
 
 
 def synth_similarity(
@@ -192,22 +188,25 @@ def synth_similarity(
     ``train_reference`` supplies the per-class train mean lengths; a class
     missing there falls back to the global train mean (noted in provenance).
     """
-    test_clips, classes, query_buckets, class_match, bucket_match, provenance = _match_components(
+    test_clips, num_classes, qi, qb, class_match, bucket_match, provenance = _match_components(
         dataset, config, train_reference
     )
     lam = config.bias_strength
-    values = (1.0 - lam) ** 2 * class_match + lam**2 * bucket_match
+    a, b = (1.0 - lam) ** 2, lam**2
+    # a * class_match + b * bucket_match at each (class, bucket) match pair
+    table = np.array([0.0, a, b, a + b])
+    values = table.take(class_match + 2 * bucket_match.view(np.uint8))
 
     if config.noise_stddev > 0:
-        # one noise coordinate per embedding dimension of each test clip
-        class_list = sorted({*classes, *(class_of(c) for c in train_reference.clips)})
-        class_idx = {ac: i for i, ac in enumerate(class_list)}
-        dim = len(class_list) + config.num_len_buckets
+        # one noise coordinate per embedding dimension of each test clip;
+        # caption i adds clip j's coordinates at its class and bucket dims
         rng = np.random.default_rng([config.seed, _NOISE_STREAM])
-        noise = rng.normal(0.0, config.noise_stddev, size=(len(test_clips), dim))
-        qi = np.array([class_idx[ac] for ac in classes])
-        qb = np.array(query_buckets) + len(class_list)
-        values = values + (1.0 - lam) * noise[:, qi].T + lam * noise[:, qb].T
+        dim = num_classes + config.num_len_buckets
+        noise_t = rng.normal(0.0, config.noise_stddev, size=(len(test_clips), dim)).T.copy()
+        class_noise, bucket_noise = (1.0 - lam) * noise_t, lam * noise_t
+        for row, c, k in zip(values, qi.tolist(), (qb + num_classes).tolist()):
+            row += class_noise[c]
+            row += bucket_noise[k]
 
     ids = tuple(c.clip_id for c in test_clips)
     return SimilarityMatrix(rows=ids, cols=ids, values=values), provenance

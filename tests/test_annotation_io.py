@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from framebias.audit import length_histogram
 from framebias.cli import main
 from framebias.dataset import ClipRecord, Dataset, load_annotations, parse_annotations
-from framebias.errors import AnnotationParseError, DegenerateInputError, FrameBiasError
+from framebias.errors import AnnotationParseError, DegenerateInputError, FrameBiasError, ValidationError
 from framebias.matrices import from_text
 
 DATA = Path(__file__).parent / "data"
@@ -84,6 +84,28 @@ def test_cli_audit_rejects_bad_csv_in_one_line(tmp_path, capsys, content):
     assert main(["audit", "--annotations", str(path), "--out", str(tmp_path / "audit.json")]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "ann.csv" in lines[0]
+    assert not (tmp_path / "audit.json").exists()
+
+
+def test_validation_errors_name_file_and_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{HEADER}\na,v1,train,0,4,x,1,1\nbad_clip,v1,train,9,3,x,1,1\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"bad\.csv: line 3: clip 'bad_clip': stop_frame 3 < start_frame 9"):
+        load_annotations(path)
+    path.write_text(f"{HEADER}\na,v1,train,0,4,x,1,1\na,v1,test,0,4,x,1,1\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"bad\.csv: line 3: duplicate clip_id 'a'"):
+        load_annotations(path)
+    ek_train = DATA / "tiny_ek_train.csv"
+    with pytest.raises(ValidationError, match=r"tiny_ek_train\.csv, .*tiny_ek_train\.csv: test file, line 2: duplicate"):
+        load_annotations([ek_train, ek_train], fmt="ek100_pair")
+
+
+def test_cli_audit_names_file_and_line_of_invalid_row(tmp_path, capsys):
+    path = tmp_path / "ann.csv"
+    path.write_text(f"{HEADER}\na,v1,train,0,4,x,1,1\nb,v1,test,9,3,x,1,1\n", encoding="utf-8")
+    assert main(["audit", "--annotations", str(path), "--out", str(tmp_path / "audit.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "ann.csv: line 3: clip 'b'" in lines[0]
     assert not (tmp_path / "audit.json").exists()
 
 

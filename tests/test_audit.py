@@ -127,22 +127,22 @@ def test_discrepancy_table_order_and_min_count():
             (4, 4): ([7, 7, 7], [7]),         # disc 0
         }
     )
-    table = discrepancy_table(ds, min_count=1)
+    table = discrepancy_table(class_stats(ds), min_count=1)
     assert [s.action_class for s in table] == [ActionClass(2, 2), ActionClass(1, 1), ActionClass(4, 4)]
-    table2 = discrepancy_table(ds, min_count=2)
+    table2 = discrepancy_table(class_stats(ds), min_count=2)
     assert [s.action_class for s in table2] == [ActionClass(1, 1), ActionClass(4, 4)]
 
 
 def test_discrepancy_table_tie_break_by_class():
     ds = make_multiclass({(5, 5): ([10], [40]), (1, 1): ([100], [130])})  # both disc 30
-    table = discrepancy_table(ds)
+    table = discrepancy_table(class_stats(ds))
     assert [s.action_class for s in table] == [ActionClass(1, 1), ActionClass(5, 5)]
 
 
 def test_discrepancy_table_subset_of_class_stats():
     ds = make_multiclass({(1, 1): ([10, 20], [40]), (2, 2): ([5], [95]), (3, 3): ([7], [])})
     by_class = {s.action_class: s for s in class_stats(ds)}
-    for row in discrepancy_table(ds):
+    for row in discrepancy_table(class_stats(ds)):
         assert row == by_class[row.action_class]
 
 

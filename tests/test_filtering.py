@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_length
 from framebias.errors import NotFoundError, ShapeMismatchError
@@ -11,6 +16,7 @@ from framebias.filtering import (
     STOP_SIZE_FLOOR,
     STOP_WITHIN_MARGIN,
     FilterConfig,
+    _margin_ratio,
     filter_margin,
     filter_single_class,
     sum_similarity_matrices,
@@ -311,6 +317,32 @@ class TestMarginProperties:
             expect_ids, expect_reason = brute(pairs, test_lengths, alpha, floor)
             assert list(report.removed_clip_ids) == expect_ids, (train_lengths, test_lengths, alpha, floor)
             assert report.per_class[0].stop_reason == expect_reason
+
+
+@given(
+    gap=st.integers(0, 10**12),
+    d=st.integers(1, 10**6),
+    alpha=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(0, 10**6)),
+)
+@example(gap=3, d=2, alpha=1.5)
+@example(gap=1, d=10, alpha=0.1)
+@example(gap=0, d=1, alpha=math.nan)
+@example(gap=10**12, d=1, alpha=math.inf)
+@example(gap=0, d=1, alpha=-math.inf)
+@settings(max_examples=500, deadline=None)
+def test_margin_ratio_matches_fraction(gap, d, alpha):
+    num, den = _margin_ratio(alpha)
+    assert (gap * den <= num * d) == (Fraction(gap, d) <= alpha)
+
+
+def test_non_finite_alpha():
+    ds = random_dataset(np.random.default_rng(83))
+    _, report = filter_margin(ds, FilterConfig(alpha=math.inf, min_class_size=2))
+    assert report.removed_count == 0
+    assert {o.stop_reason for o in report.per_class} <= {STOP_WITHIN_MARGIN, SKIPPED_NO_TEST, SKIPPED_NO_TRAIN}
+    _, report = filter_margin(ds, FilterConfig(alpha=math.nan, min_class_size=2))
+    assert report.removed_count > 0
+    assert STOP_WITHIN_MARGIN not in {o.stop_reason for o in report.per_class}
 
 
 class TestFilterConfig:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from framebias.audit import global_length_summary
-from framebias.dataset import ActionClass, class_of, frame_length
+from framebias.dataset import ActionClass, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError
-from framebias.filtering import FilterConfig, filter_margin
+from framebias.filtering import FilterConfig, filter_margin, filter_single_class
 from framebias.metrics import gt_rank, topk_avg_length
 from framebias.simulate import (
     SimConfig,
@@ -16,6 +18,8 @@ from framebias.simulate import (
     synth_dataset,
     synth_similarity,
 )
+
+from oracles import naive_synth_similarity
 
 MECHANISM_CONFIG = SimConfig(
     num_classes=40,
@@ -167,6 +171,63 @@ class TestSynthSimilarity:
         train_only = Dataset(clips=ds.split_clips("train"))
         with pytest.raises(DegenerateInputError):
             synth_similarity(train_only, cfg, ds)
+
+
+def reference_for(ds: Dataset, kind: str) -> Dataset:
+    """The train reference a similarity is built against."""
+    if kind == "margin":
+        return filter_margin(ds, FilterConfig(alpha=5.0, min_class_size=2))[0]
+    victim = ds.classes()[-1]
+    if kind == "single_class":
+        if len(ds.clips_of(victim, "train")) < 2:
+            return ds
+        return filter_single_class(ds, victim, "remove_long", 0.5)[0]
+    if kind == "drop_class":  # the victim's captions fall back to the global mean
+        return Dataset(clips=tuple(c for c in ds.clips if not (c.split == "train" and class_of(c) == victim)))
+    return ds
+
+
+sim_configs = st.builds(
+    SimConfig,
+    num_classes=st.integers(1, 6),
+    train_per_class=st.integers(1, 6),
+    test_per_class=st.integers(1, 4),
+    train_len_mean=st.sampled_from([5.0, 100.0, 400.0]),
+    test_len_mean=st.sampled_from([5.0, 150.0, 480.0]),
+    len_stddev=st.sampled_from([0.0, 3.0, 40.0]),
+    class_len_spread=st.sampled_from([0.0, 50.0, 600.0]),
+    bias_strength=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    noise_stddev=st.sampled_from([0.0, 0.02, 0.7]),
+    num_len_buckets=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(config=sim_configs, kind=st.sampled_from(["own", "margin", "single_class", "drop_class"]))
+@example(config=SimConfig(num_classes=5, bias_strength=0.0), kind="own")
+@example(config=SimConfig(num_classes=5, bias_strength=1.0), kind="margin")
+@example(config=SimConfig(num_classes=5, noise_stddev=0.0), kind="own")
+@example(config=SimConfig(num_classes=5, num_len_buckets=1), kind="own")
+@example(config=SimConfig(num_classes=5, len_stddev=0.0, train_len_mean=50.0, test_len_mean=50.0), kind="own")
+@example(config=SimConfig(num_classes=5, class_len_spread=0.0), kind="single_class")
+@example(config=SimConfig(num_classes=5, class_len_spread=300.0), kind="margin")
+@example(config=SimConfig(num_classes=5, class_len_spread=300.0), kind="drop_class")
+@settings(max_examples=150, deadline=None)
+def test_similarity_matches_broadcast_oracle(config, kind):
+    ds = synth_dataset(config)
+    ref = reference_for(ds, kind)
+    try:
+        ids, expected, expected_prov = naive_synth_similarity(ds, config, ref)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            synth_similarity(ds, config, ref)
+        return
+    sim, prov = synth_similarity(ds, config, ref)
+    assert sim.rows == ids and sim.cols == ids
+    assert np.array_equal(sim.values.view(np.int64), expected.view(np.int64))
+    assert prov == expected_prov
+    if kind == "drop_class":
+        assert prov["fallback_classes"] == [str(ds.classes()[-1])]
 
 
 class TestMechanism:
