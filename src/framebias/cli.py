@@ -197,8 +197,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sum_sims(args) -> int:
-    matrices = [load_matrix(p) for p in args.paths]
-    total = sum_similarity_matrices(matrices, mean=args.mean)
+    total = sum_similarity_matrices((load_matrix(p) for p in args.paths), mean=args.mean)
     save_matrix(total, args.out)
     return 0
 

@@ -188,16 +188,21 @@ def sum_similarity_matrices(matrices, mean: bool = False) -> SimilarityMatrix:
     """Elementwise sum of score matrices sharing identical id mappings.
 
     ``mean=True`` divides by the number of matrices (normalized variant).
+    The iterable is consumed lazily, so a generator of loads holds only the
+    running total and one matrix at a time.
     """
-    matrices = list(matrices)
-    if not matrices:
+    matrices = iter(matrices)
+    m = next(matrices, None)
+    if m is None:
         raise ValueError("at least one similarity matrix is required")
-    first = matrices[0]
-    total = first.values.copy()
-    for m in matrices[1:]:
-        if m.rows != first.rows or m.cols != first.cols:
+    rows, cols, total, count = m.rows, m.cols, m.values.copy(), 1
+    del m  # hold no loaded matrix while the next one loads
+    for m in matrices:
+        if m.rows != rows or m.cols != cols:
             raise ShapeMismatchError("matrices must share identical row/column id mappings")
         total += m.values
+        count += 1
+        del m
     if mean:
-        total /= len(matrices)
-    return SimilarityMatrix(rows=first.rows, cols=first.cols, values=total)
+        total /= count
+    return SimilarityMatrix(rows=rows, cols=cols, values=total)

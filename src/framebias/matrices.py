@@ -8,6 +8,12 @@ Two interchangeable serializations:
   row-major f64 LE values, then two length-prefixed UTF-8 id lists
   (rows, then cols; each list is a u32 count followed by u32-length-
   prefixed ids).
+
+A SIMM file is decoded from a binary file object: the header first, then the
+values read straight into the array the matrix keeps, then the id lists. It is
+written the same way, streaming the values buffer. A matrix keeps the array it
+is handed when that array is float64, C-contiguous and owns its data, and
+marks it read-only; any other input (a view, another dtype, a list) is copied.
 """
 
 from __future__ import annotations
@@ -34,7 +40,12 @@ def _check_ids(ids: tuple[str, ...], side: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
-    """Scores for every (query, gallery) pair; values must be finite."""
+    """Scores for every (query, gallery) pair; values must be finite.
+
+    ``values`` is taken over, not copied, when it is a float64, C-contiguous
+    array that owns its data: the matrix then marks it read-only, so the
+    caller can no longer write to it. Views and other inputs are copied.
+    """
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
@@ -44,22 +55,25 @@ class SimilarityMatrix:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
+        if not (values.flags.owndata and values.flags.c_contiguous):
+            values = values.copy()  # a view may share its memory with writable arrays
         if values.shape != (len(self.rows), len(self.cols)):
             raise ShapeMismatchError(
                 f"values shape {values.shape} does not match {len(self.rows)}x{len(self.cols)} ids"
             )
         _check_ids(self.rows, "row")
         _check_ids(self.cols, "col")
-        self._check_values(values)
-        values = values.copy()
+        if values.size:
+            self._check_range(values.min(), values.max())
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "row_index", {r: i for i, r in enumerate(self.rows)})
         object.__setattr__(self, "col_index", {c: j for j, c in enumerate(self.cols)})
 
     @staticmethod
-    def _check_values(values: np.ndarray) -> None:
-        if values.size and not np.all(np.isfinite(values)):
+    def _check_range(lo, hi) -> None:
+        """Check the values from their minimum and maximum (NaN propagates)."""
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ShapeMismatchError("matrix values must all be finite")
 
     @property
@@ -85,9 +99,9 @@ class RelevancyMatrix(SimilarityMatrix):
     """Graded relevance in [0, 1] for every (query, gallery) pair."""
 
     @staticmethod
-    def _check_values(values: np.ndarray) -> None:
-        SimilarityMatrix._check_values(values)
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+    def _check_range(lo, hi) -> None:
+        SimilarityMatrix._check_range(lo, hi)
+        if lo < 0.0 or hi > 1.0:
             raise ShapeMismatchError("relevancy values must lie in [0, 1]")
 
 
@@ -119,7 +133,7 @@ def from_text(text: str) -> SimilarityMatrix:
         raise AnnotationParseError(f"matrix line {reader.line_num}: non-numeric value") from None
     except (csv.Error, AnnotationParseError) as err:
         raise AnnotationParseError(f"matrix line {reader.line_num}: {err}") from None
-    values = np.array(data, dtype=np.float64).reshape(len(rows), len(cols))
+    values = np.array(data, dtype=np.float64) if data else np.empty((0, len(cols)))
     return SimilarityMatrix(rows=tuple(rows), cols=cols, values=values)
 
 
@@ -132,11 +146,12 @@ def _pack_ids(ids: tuple[str, ...]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_ids(buf: bytes, offset: int, expected: int, side: str) -> tuple[tuple[str, ...], int]:
-    size = len(buf)
+def _unpack_ids(buf: bytes, base: int, offset: int, expected: int, side: str) -> tuple[tuple[str, ...], int]:
+    """Decode one id list at file ``offset``; ``buf`` holds the file from byte ``base`` on."""
+    size = base + len(buf)
     if offset + 4 > size:
         raise AnnotationParseError(f"SIMM truncated at the {side} id count (offset {offset} of {size} bytes)")
-    (count,) = struct.unpack_from("<I", buf, offset)
+    (count,) = struct.unpack_from("<I", buf, offset - base)
     if count != expected:
         raise AnnotationParseError(f"SIMM {side} id count {count} does not match the matrix's {expected} {side}s")
     offset += 4
@@ -144,62 +159,80 @@ def _unpack_ids(buf: bytes, offset: int, expected: int, side: str) -> tuple[tupl
     for i in range(count):
         if offset + 4 > size:
             raise AnnotationParseError(f"SIMM truncated at {side} id {i} (offset {offset} of {size} bytes)")
-        (n,) = struct.unpack_from("<I", buf, offset)
+        (n,) = struct.unpack_from("<I", buf, offset - base)
         offset += 4
         if offset + n > size:
             raise AnnotationParseError(
                 f"SIMM truncated in {side} id {i}: {n} bytes at offset {offset}, file has {size}"
             )
         try:
-            ids.append(buf[offset : offset + n].decode("utf-8"))
+            ids.append(buf[offset - base : offset - base + n].decode("utf-8"))
         except UnicodeDecodeError:
             raise AnnotationParseError(f"SIMM {side} id {i} at offset {offset} is not UTF-8") from None
         offset += n
     return tuple(ids), offset
 
 
-def to_binary(matrix: SimilarityMatrix) -> bytes:
+def _write_simm(matrix: SimilarityMatrix, fh) -> None:
+    """Stream a matrix to a binary file object: header, values buffer, ids."""
     nrows, ncols = matrix.shape
-    return b"".join(
-        [
-            MAGIC,
-            bytes([VERSION]),
-            struct.pack("<II", nrows, ncols),
-            matrix.values.astype("<f8").tobytes(order="C"),
-            _pack_ids(matrix.rows),
-            _pack_ids(matrix.cols),
-        ]
-    )
+    fh.write(MAGIC + bytes([VERSION]) + struct.pack("<II", nrows, ncols))
+    fh.write(np.ascontiguousarray(matrix.values, dtype="<f8"))
+    fh.write(_pack_ids(matrix.rows))
+    fh.write(_pack_ids(matrix.cols))
+
+
+def _read_simm(fh) -> SimilarityMatrix:
+    """Decode a SIMM file from a seekable binary file object.
+
+    The values are read into the array the matrix keeps, once the file's
+    length (from a seek to its end) is known to hold them; any malformed,
+    truncated or padded input raises AnnotationParseError naming the place.
+    """
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    header = fh.read(_HEADER_BYTES)
+    if header[:4] != MAGIC:
+        raise AnnotationParseError("not a SIMM matrix file (bad magic)")
+    if len(header) < _HEADER_BYTES:
+        raise AnnotationParseError(f"SIMM header truncated: {len(header)} of {_HEADER_BYTES} bytes")
+    if header[4] != VERSION:
+        raise AnnotationParseError(f"unsupported SIMM version {header[4]}")
+    nrows, ncols = struct.unpack_from("<II", header, 5)
+    offset = _HEADER_BYTES + 8 * nrows * ncols
+    if offset > size:
+        raise AnnotationParseError(
+            f"SIMM truncated in the {nrows}x{ncols} values: they end at offset {offset}, file has {size} bytes"
+        )
+    values = np.empty((nrows, ncols), dtype="<f8")
+    if fh.readinto(values) != values.nbytes:
+        raise AnnotationParseError(f"SIMM values ended early: the file shrank below {size} bytes while read")
+    ids = fh.read()
+    size = offset + len(ids)
+    rows, end = _unpack_ids(ids, offset, offset, nrows, "row")
+    cols, end = _unpack_ids(ids, offset, end, ncols, "column")
+    if end != size:
+        raise AnnotationParseError(f"SIMM has {size - end} trailing bytes after offset {end}")
+    return SimilarityMatrix(rows=rows, cols=cols, values=values)
+
+
+def to_binary(matrix: SimilarityMatrix) -> bytes:
+    buf = io.BytesIO()
+    _write_simm(matrix, buf)
+    return buf.getvalue()
 
 
 def from_binary(buf: bytes) -> SimilarityMatrix:
-    """Decode a SIMM file; any malformed, truncated or padded input raises
-    AnnotationParseError naming the place."""
-    if buf[:4] != MAGIC:
-        raise AnnotationParseError("not a SIMM matrix file (bad magic)")
-    if len(buf) < _HEADER_BYTES:
-        raise AnnotationParseError(f"SIMM header truncated: {len(buf)} of {_HEADER_BYTES} bytes")
-    if buf[4] != VERSION:
-        raise AnnotationParseError(f"unsupported SIMM version {buf[4]}")
-    nrows, ncols = struct.unpack_from("<II", buf, 5)
-    offset = _HEADER_BYTES + 8 * nrows * ncols
-    if offset > len(buf):
-        raise AnnotationParseError(
-            f"SIMM truncated in the {nrows}x{ncols} values: they end at offset {offset}, file has {len(buf)} bytes"
-        )
-    rows, offset = _unpack_ids(buf, offset, nrows, "row")
-    cols, offset = _unpack_ids(buf, offset, ncols, "column")
-    if offset != len(buf):
-        raise AnnotationParseError(f"SIMM has {len(buf) - offset} trailing bytes after offset {offset}")
-    values = np.frombuffer(buf, dtype="<f8", count=nrows * ncols, offset=_HEADER_BYTES)
-    return SimilarityMatrix(rows=rows, cols=cols, values=values.reshape(nrows, ncols))
+    """Decode a SIMM file held in memory; any malformed, truncated or padded
+    input raises AnnotationParseError naming the place."""
+    return _read_simm(io.BytesIO(buf))
 
 
 def save_matrix(matrix: SimilarityMatrix, path) -> None:
     """Write binary when the path ends in .simm, text otherwise."""
     if str(path).endswith(".simm"):
         with open_atomic(path, "wb") as fh:
-            fh.write(to_binary(matrix))
+            _write_simm(matrix, fh)
     else:
         with open_atomic(path) as fh:
             fh.write(to_text(matrix))
@@ -207,11 +240,12 @@ def save_matrix(matrix: SimilarityMatrix, path) -> None:
 
 def load_matrix(path) -> SimilarityMatrix:
     """Read either format, sniffing the SIMM magic bytes."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
     try:
-        if raw[:4] == MAGIC:
-            return from_binary(raw)
+        with open(path, "rb") as fh:
+            if fh.read(4) == MAGIC:
+                return _read_simm(fh)
+            fh.seek(0)
+            raw = fh.read()
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as err:

@@ -18,7 +18,7 @@ from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchE
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 
 DIRECTIONS = ("t2v", "v2t", "avg")
-_BLOCK = 128  # queries ranked at once; a block's scratch arrays stay a few MB
+_BLOCK_SCORES = 1 << 16  # scores ranked at once: a block's scratch arrays stay in cache
 
 
 def _order(scores: np.ndarray) -> np.ndarray:
@@ -44,11 +44,14 @@ def _order(scores: np.ndarray) -> np.ndarray:
 def ranked_blocks(values: np.ndarray):
     """Yield ``(start, stop, scores, order)`` per block of query rows.
 
-    For the v2t direction pass ``matrix.values.T``: each block of that view is
-    copied out contiguous, so no transposed matrix is ever made.
+    A block holds about ``_BLOCK_SCORES`` scores (at least one row), so its
+    scratch arrays stay a fixed size whatever the gallery width. For the v2t
+    direction pass ``matrix.values.T``: each block of that view is copied out
+    contiguous, so no transposed matrix is ever made.
     """
-    for start in range(0, values.shape[0], _BLOCK):
-        scores = np.ascontiguousarray(values[start : start + _BLOCK])
+    rows = max(1, _BLOCK_SCORES // max(1, values.shape[1]))
+    for start in range(0, values.shape[0], rows):
+        scores = np.ascontiguousarray(values[start : start + rows])
         yield start, start + len(scores), scores, _order(scores)
 
 
