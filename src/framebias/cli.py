@@ -8,8 +8,8 @@ errors exit 1 with a diagnostic on stderr; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from framebias import __version__
@@ -26,16 +26,7 @@ from framebias.errors import FrameBiasError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class, sum_similarity_matrices
 from framebias.matrices import load_matrix, save_matrix
 from framebias.metrics import inspect_query, metrics_report
-from framebias.reports import (
-    action_class_dict,
-    build_envelope,
-    class_stats_dict,
-    filter_report_dict,
-    histogram_dict,
-    metrics_report_dict,
-    sweep_row_dict,
-    write_report,
-)
+from framebias.reports import build_envelope, filter_report_dict, histogram_dict, metrics_report_dict, write_report
 from framebias.simulate import SimConfig, bias_sweep
 
 
@@ -49,11 +40,30 @@ def _parse_class(text: str) -> ActionClass:
         raise ValueError(f"class components must be integers, got {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    """A float flag value; nan and +-inf are refused, so reports stay strict JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_list(text: str, cast):
     try:
         return [cast(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise ValueError(f"expected comma-separated list, got {text!r}") from None
+    except (ValueError, argparse.ArgumentTypeError) as err:
+        raise ValueError(f"expected comma-separated list, got {text!r}: {err}") from None
+
+
+def _check_distinct_tags(label: str, values, spec: str) -> None:
+    """Each simulate condition writes its own files: no two values may share a tag."""
+    tags = [label + format(v, spec) for v in values]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ValueError(f"{label} values {values[tags.index(tag)]} and {values[i]} share the file tag {tag}")
 
 
 def _echo(args) -> dict:
@@ -87,8 +97,8 @@ def cmd_audit(args) -> int:
             "train_count": train_count,
             "test_count": test_count,
         },
-        "class_stats": [class_stats_dict(s) for s in stats],
-        "discrepancy_table": [class_stats_dict(s) for s in discrepancy_table(stats)],
+        "class_stats": stats,
+        "discrepancy_table": discrepancy_table(stats),
         "histogram": histogram_dict(hist, selected),
     }
     if args.hist_out:
@@ -123,7 +133,7 @@ def cmd_filter_one(args) -> int:
     payload = {
         "filter": {
             "kind": "single_class",
-            "action_class": action_class_dict(action_class),
+            "action_class": action_class,
             "mode": mode,
             "fraction": args.fraction,
         },
@@ -157,8 +167,6 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = SimConfig(
         num_classes=args.classes,
         train_per_class=args.train_per_class,
@@ -172,7 +180,11 @@ def cmd_simulate(args) -> int:
         num_len_buckets=args.buckets,
     )
     seeds = _parse_list(args.seeds, int)
-    alphas = _parse_list(args.alphas, float)
+    alphas = _parse_list(args.alphas, _finite_float)
+    _check_distinct_tags("seed", seeds, "d")
+    _check_distinct_tags("alpha", alphas, "g")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def emit(seed, alpha, dataset, reference, sim):
         tag = f"seed{seed}" if alpha is None else f"seed{seed}_alpha{alpha:g}"
@@ -185,12 +197,12 @@ def cmd_simulate(args) -> int:
         on_condition=emit,
     )
     payload = {
-        "sim_config": asdict(config),
+        "sim_config": config,
         "alphas": alphas,
         "seeds": seeds,
         "min_class_size": args.min_class_size,
         "topk": args.topk,
-        "conditions": [sweep_row_dict(r) for r in rows],
+        "conditions": rows,
     }
     write_report(out_dir / "sweep_report.json", build_envelope("simulate", _echo(args), payload))
     return 0
@@ -221,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="greedy margin filter over every class")
     _annotation_args(p)
-    p.add_argument("--alpha", type=float, required=True, help="discrepancy margin in frames")
+    p.add_argument("--alpha", type=_finite_float, required=True, help="discrepancy margin in frames")
     p.add_argument("--min-class-size", type=int, default=11)
     p.add_argument("--out", required=True, metavar="PATH", help="filtered annotations CSV path")
     p.add_argument("--report", required=True, metavar="PATH", help="report JSON path")
@@ -232,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verb", type=int, required=True)
     p.add_argument("--noun", type=int, required=True)
     p.add_argument("--mode", choices=("long", "short"), required=True)
-    p.add_argument("--fraction", type=float, default=31 / 88, help="fraction of train clips to remove")
+    p.add_argument("--fraction", type=_finite_float, default=31 / 88, help="fraction of train clips to remove")
     p.add_argument("--out", required=True, metavar="PATH")
     p.add_argument("--report", required=True, metavar="PATH")
     p.set_defaults(func=cmd_filter_one)
@@ -240,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a similarity matrix against annotations")
     p.add_argument("--sim", required=True, metavar="PATH")
     _annotation_args(p)
-    p.add_argument("--threshold", type=float, default=1.0, help="mAP relevance binarization")
+    p.add_argument("--threshold", type=_finite_float, default=1.0, help="mAP relevance binarization")
     p.add_argument("--depth", type=int, default=None, help="nDCG ranking depth (default: full)")
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_eval)
@@ -256,12 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=40)
     p.add_argument("--train-per-class", type=int, default=30)
     p.add_argument("--test-per-class", type=int, default=10)
-    p.add_argument("--bias", type=float, default=0.6, help="length leakage strength in [0,1]")
-    p.add_argument("--test-offset", type=float, default=80.0, help="test minus train mean length")
-    p.add_argument("--train-len-mean", type=float, default=400.0)
-    p.add_argument("--len-stddev", type=float, default=40.0)
-    p.add_argument("--class-spread", type=float, default=600.0, help="per-class base length band")
-    p.add_argument("--noise-stddev", type=float, default=0.02)
+    p.add_argument("--bias", type=_finite_float, default=0.6, help="length leakage strength in [0,1]")
+    p.add_argument("--test-offset", type=_finite_float, default=80.0, help="test minus train mean length")
+    p.add_argument("--train-len-mean", type=_finite_float, default=400.0)
+    p.add_argument("--len-stddev", type=_finite_float, default=40.0)
+    p.add_argument("--class-spread", type=_finite_float, default=600.0, help="per-class base length band")
+    p.add_argument("--noise-stddev", type=_finite_float, default=0.02)
     p.add_argument("--buckets", type=int, default=24)
     p.add_argument("--min-class-size", type=int, default=11)
     p.add_argument("--topk", type=int, default=20)

@@ -49,20 +49,20 @@ class FilterConfig:
 @dataclass(frozen=True)
 class ClassFilterOutcome:
     action_class: ActionClass
+    stop_reason: str
     before: ClassStats
     after: ClassStats
-    stop_reason: str
 
 
 @dataclass(frozen=True)
 class FilterReport:
     """Which clips were removed and how each class ended up."""
 
-    removed_clip_ids: tuple[str, ...]
-    per_class: tuple[ClassFilterOutcome, ...]
     removed_count: int
     classes_touched: int
     removed_fraction: float
+    removed_clip_ids: tuple[str, ...]
+    per_class: tuple[ClassFilterOutcome, ...]
 
 
 def _margin_ratio(alpha: float) -> tuple[int, int]:
@@ -128,14 +128,14 @@ def filter_margin(dataset: Dataset, config: FilterConfig) -> tuple[Dataset, Filt
         test_sum = sum(frame_length(c) for c in test)
         before = stats_from_sums(ac, len(train), train_sum, len(test), test_sum)
         if not train:
-            outcomes.append(ClassFilterOutcome(ac, before, before, SKIPPED_NO_TRAIN))
+            outcomes.append(ClassFilterOutcome(ac, SKIPPED_NO_TRAIN, before, before))
             continue
         if not test:
-            outcomes.append(ClassFilterOutcome(ac, before, before, SKIPPED_NO_TEST))
+            outcomes.append(ClassFilterOutcome(ac, SKIPPED_NO_TEST, before, before))
             continue
         removed, reason, kept_sum = _greedy_class_removals(train, test_sum, len(test), config)
         after = stats_from_sums(ac, len(train) - len(removed), kept_sum, len(test), test_sum)
-        outcomes.append(ClassFilterOutcome(ac, before, after, reason))
+        outcomes.append(ClassFilterOutcome(ac, reason, before, after))
         removed_ids.extend(removed)
     return _finalize(dataset, removed_ids, outcomes)
 
@@ -164,7 +164,7 @@ def filter_single_class(
     before = stats_from_sums(action_class, len(train), train_sum, len(test), test_sum)
     kept_sum = train_sum - sum(frame_length(c) for c in order[:count])
     after = stats_from_sums(action_class, len(train) - count, kept_sum, len(test), test_sum)
-    outcome = ClassFilterOutcome(action_class, before, after, FRACTION_REMOVED)
+    outcome = ClassFilterOutcome(action_class, FRACTION_REMOVED, before, after)
     return _finalize(dataset, removed, [outcome])
 
 
@@ -175,11 +175,11 @@ def _finalize(
     kept = tuple(c for c in dataset.clips if c.clip_id not in removed_set)
     touched = sum(1 for o in outcomes if o.after.train_count < o.before.train_count)
     report = FilterReport(
-        removed_clip_ids=tuple(removed_ids),
-        per_class=tuple(outcomes),
         removed_count=len(removed_ids),
         classes_touched=touched,
         removed_fraction=len(removed_ids) / len(dataset.clips) if dataset.clips else 0.0,
+        removed_clip_ids=tuple(removed_ids),
+        per_class=tuple(outcomes),
     )
     return Dataset(clips=kept), report
 

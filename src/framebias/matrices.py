@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from framebias.atomic import open_atomic
-from framebias.errors import AnnotationParseError, ShapeMismatchError
+from framebias.errors import AnnotationParseError, FrameBiasError, ShapeMismatchError
 
 MAGIC = b"SIMM"
 VERSION = 1
@@ -35,7 +35,9 @@ _HEADER_BYTES = 13  # magic, version, u32 rows, u32 cols
 
 def _check_ids(ids: tuple[str, ...], side: str) -> None:
     if len(set(ids)) != len(ids):
-        raise ShapeMismatchError(f"duplicate {side} ids")
+        first = {}  # id -> index of its first occurrence
+        i = next(i for i, id_ in enumerate(ids) if first.setdefault(id_, i) != i)
+        raise ShapeMismatchError(f"duplicate {side} id {ids[i]!r} at {side} {i}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,17 +66,18 @@ class SimilarityMatrix:
         _check_ids(self.rows, "row")
         _check_ids(self.cols, "col")
         if values.size:
-            self._check_range(values.min(), values.max())
+            self._check_range(values, values.min(), values.max())
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "row_index", {r: i for i, r in enumerate(self.rows)})
         object.__setattr__(self, "col_index", {c: j for j, c in enumerate(self.cols)})
 
-    @staticmethod
-    def _check_range(lo, hi) -> None:
-        """Check the values from their minimum and maximum (NaN propagates)."""
+    def _check_range(self, values: np.ndarray, lo, hi) -> None:
+        """Check the values from their minimum and maximum (NaN propagates); only a failure looks at cells."""
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ShapeMismatchError("matrix values must all be finite")
+            i, j = np.argwhere(~np.isfinite(values))[0]
+            cell = f"{values[i, j]} at ({self.rows[i]!r}, {self.cols[j]!r})"
+            raise ShapeMismatchError(f"matrix values must all be finite: {cell}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -98,9 +101,8 @@ class SimilarityMatrix:
 class RelevancyMatrix(SimilarityMatrix):
     """Graded relevance in [0, 1] for every (query, gallery) pair."""
 
-    @staticmethod
-    def _check_range(lo, hi) -> None:
-        SimilarityMatrix._check_range(lo, hi)
+    def _check_range(self, values: np.ndarray, lo, hi) -> None:
+        super()._check_range(values, lo, hi)
         if lo < 0.0 or hi > 1.0:
             raise ShapeMismatchError("relevancy values must lie in [0, 1]")
 
@@ -251,5 +253,5 @@ def load_matrix(path) -> SimilarityMatrix:
         except UnicodeDecodeError as err:
             raise AnnotationParseError(f"neither a SIMM file nor UTF-8 text (byte {err.start})") from None
         return from_text(text)
-    except AnnotationParseError as err:
-        raise AnnotationParseError(f"{path}: {err}") from None
+    except FrameBiasError as err:
+        raise type(err)(f"{path}: {err}") from None

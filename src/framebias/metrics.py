@@ -263,7 +263,6 @@ class DirectionMetrics:
     ndcg: float
     map: float
     recall: dict[int, float]
-    gt_ranks: tuple[int, ...]
     mean_rank: float | None
     median_rank: float | None
     mean_rank_optimistic: float | None
@@ -272,6 +271,7 @@ class DirectionMetrics:
     num_degenerate_ndcg: int
     num_degenerate_ap: int
     num_missing_gt: int
+    gt_ranks: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,6 @@ def _direction_metrics(ndcg, ap, gt_ranks, has_gt, recall_ks) -> DirectionMetric
         ndcg=_mean(ndcg),
         map=_mean(ap),
         recall={k: recall_at_k(ranks, k) for k in recall_ks} if ranks else {},
-        gt_ranks=tuple(ranks),
         mean_rank=sum(ranks) / len(ranks) if ranks else None,
         median_rank=float(np.median(ranks)) if ranks else None,
         mean_rank_optimistic=sum(ranks_opt) / len(ranks_opt) if ranks_opt else None,
@@ -297,6 +296,7 @@ def _direction_metrics(ndcg, ap, gt_ranks, has_gt, recall_ks) -> DirectionMetric
         num_degenerate_ndcg=int(np.isnan(ndcg).sum()),
         num_degenerate_ap=int(np.isnan(ap).sum()),
         num_missing_gt=ndcg.size - int(has_gt.sum()),
+        gt_ranks=tuple(ranks),
     )
 
 

@@ -24,7 +24,7 @@ reproducibility.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,7 +175,7 @@ def _match_components(dataset: Dataset, config: SimConfig, train_reference: Data
         "bucket_low": lo,
         "bucket_high": hi,
         "fallback_classes": fallback,
-        "config": asdict(config),
+        "config": dict(vars(config)),
     }
     return test_clips, len(class_idx), qi, qb, class_match, bucket_match, provenance
 

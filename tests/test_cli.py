@@ -14,6 +14,7 @@ import pytest
 
 from framebias.cli import main
 from framebias.dataset import load_annotations
+from framebias.reports import build_envelope, write_report
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -294,3 +295,53 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "framebias" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "seeds, alphas, named",
+    [
+        ("0", "12.3456789,12.3456781", "alpha values 12.3456789 and 12.3456781 share the file tag alpha12.3457"),
+        ("3,1,3", "20", "seed values 3 and 3 share the file tag seed3"),
+    ],
+    ids=["alphas-share-a-tag", "repeated-seed"],
+)
+def test_simulate_rejects_conditions_sharing_files(workspace, capsys, seeds, alphas, named):
+    argv = [
+        "simulate", "--classes", "2", "--train-per-class", "3", "--test-per-class", "2",
+        "--seeds", seeds, "--alphas", alphas, "--out-dir", "out/clash",
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert not (workspace / "out/clash").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+def test_non_finite_float_flags_rejected(workspace, capsys, value):
+    argv = [
+        "filter", "--annotations", "fixtures/tiny.csv", f"--alpha={value}",
+        "--out", "out/f.csv", "--report", "out/f.json",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    sim = ["simulate", "--classes", "2", "--train-per-class", "3", "--test-per-class", "2", "--seeds", "0"]
+    assert main(sim + [f"--alphas=10,{value}", "--out-dir", "out/sim"]) == 1
+    assert "finite" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(sim + [f"--bias={value}", "--out-dir", "out/sim"])
+    assert sorted(p.name for p in (workspace / "out").iterdir()) == []
+
+
+def test_report_rejects_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        write_report(tmp_path / "r.json", build_envelope("x", {}, {"value": float("inf")}))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sum_sims_names_the_bad_file(workspace, capsys):
+    (workspace / "fixtures/bad.csv").write_text(",c03\nc03,nan\n")
+    assert main(["sum-sims", "fixtures/bad.csv", "--out", "out/x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "fixtures/bad.csv: matrix values must all be finite" in err and "'c03'" in err

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,28 @@ def test_load_as_relevancy(tmp_path):
     save_matrix(rel, path)
     loaded = load_matrix(path)
     assert RelevancyMatrix(rows=loaded.rows, cols=loaded.cols, values=loaded.values) == rel
+
+
+def test_duplicate_id_is_named():
+    with pytest.raises(ShapeMismatchError, match=r"duplicate col id 'h' at col 2"):
+        SimilarityMatrix(rows=("a",), cols=("g", "h", "h", "g"), values=np.zeros((1, 4)))
+
+
+def test_first_non_finite_cell_is_named():
+    values = np.array([[0.5, 1.0], [np.nan, np.inf]])
+    with pytest.raises(ShapeMismatchError, match=r"finite: nan at \('b', 'x'\)"):
+        SimilarityMatrix(rows=("a", "b"), cols=("x", "y"), values=values)
+    with pytest.raises(ShapeMismatchError, match=r"finite: -inf at \('a', 'y'\)"):
+        RelevancyMatrix(rows=("a", "b"), cols=("x", "y"), values=np.array([[0.5, -np.inf], [0.0, 1.0]]))
+
+
+def test_load_errors_name_the_file_and_keep_their_type(tmp_path):
+    blob = bytearray(to_binary(sample_matrix()))
+    blob[13:21] = struct.pack("<d", float("nan"))
+    (tmp_path / "nan.simm").write_bytes(bytes(blob))
+    named = r"nan\.simm: matrix values must all be finite: nan at \('query one', 'g1'\)"
+    with pytest.raises(ShapeMismatchError, match=named):
+        load_matrix(tmp_path / "nan.simm")
+    (tmp_path / "dup.csv").write_text(",g,g\nq,0.1,0.2\n")
+    with pytest.raises(ShapeMismatchError, match=r"dup\.csv: duplicate col id 'g' at col 1"):
+        load_matrix(tmp_path / "dup.csv")
