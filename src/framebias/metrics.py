@@ -4,7 +4,9 @@ The ranking convention everywhere: gallery items sorted by descending score,
 ties broken by ascending gallery index. Queries with no positive relevance
 are excluded from averages and counted in the report. Aggregate means sum in
 ascending query order, so results do not depend on evaluation schedule.
-Every metric ranks each query once, through one blocked kernel.
+Every metric ranks through one blocked kernel, by position: a query is scored
+from where its tracked columns land (nonzero relevance, relevance at the AP
+threshold, its GT column) in its sorted row, so no full ranking is built.
 """
 
 from __future__ import annotations
@@ -21,28 +23,8 @@ DIRECTIONS = ("t2v", "v2t", "avg")
 _BLOCK_SCORES = 1 << 16  # scores ranked at once: a block's scratch arrays stay in cache
 
 
-def _order(scores: np.ndarray) -> np.ndarray:
-    """Rank each row of a block: descending score, ties by ascending index.
-
-    One unstable argsort per row; rows with equal neighbours are re-sorted on
-    the key (run of equal scores, index), which equals a stable argsort.
-    """
-    order = np.argsort(-scores, axis=1)
-    ranked = np.take_along_axis(scores, order, axis=1)
-    new_run = ranked[:, 1:] != ranked[:, :-1]
-    if np.isnan(ranked[:, -1:]).any():  # NaNs sort last; they tie with each other
-        new_run &= ~np.isnan(ranked[:, 1:]) | ~np.isnan(ranked[:, :-1])
-    tied = ~new_run.all(axis=1)
-    if tied.any():
-        n = scores.shape[1]
-        run = np.zeros((int(tied.sum()), n), dtype=np.int64)
-        np.cumsum(new_run[tied], axis=1, out=run[:, 1:])
-        order[tied] = np.sort(run * n + order[tied], axis=1) % n
-    return order
-
-
-def ranked_blocks(values: np.ndarray):
-    """Yield ``(start, stop, scores, order)`` per block of query rows.
+def score_blocks(values: np.ndarray):
+    """Yield ``(start, stop, scores)`` per block of query rows.
 
     A block holds about ``_BLOCK_SCORES`` scores (at least one row), so its
     scratch arrays stay a fixed size whatever the gallery width. For the v2t
@@ -52,17 +34,51 @@ def ranked_blocks(values: np.ndarray):
     rows = max(1, _BLOCK_SCORES // max(1, values.shape[1]))
     for start in range(0, values.shape[0], rows):
         scores = np.ascontiguousarray(values[start : start + rows])
-        yield start, start + len(scores), scores, _order(scores)
+        yield start, start + len(scores), scores
 
 
-def gt_positions(order: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """1-based position of each row's ground-truth gallery index in its ranking."""
-    return 1 + np.argmax(order == gt[:, None], axis=1)
+def positions(scores: np.ndarray, tracked: np.ndarray):
+    """Stable 1-based ranks of the tracked scores of a block of rows.
+
+    Returns ``(row, col, ranks, left, right)``, one entry per tracked score,
+    ordered by row and then by rank (descending score, ties by ascending
+    column), with the number of scores strictly above and at or above it.
+    Only the rows' values are sorted: each tracked score is searched in its
+    sorted row, and equal tracked scores are ranked by column. A row where a
+    tracked score ties an untracked one is ranked by its full stable argsort.
+    """
+    nb, n = scores.shape
+    flat = np.flatnonzero(tracked)  # row-major: columns ascend within a row
+    bounds = np.searchsorted(flat, np.arange(0, nb * n + 1, n)).tolist()
+    keys = -scores.ravel()[flat]
+    ordered = np.negative(scores)
+    ordered.sort(axis=1)
+    left = np.empty(flat.size, dtype=np.int64)
+    for values, lo, hi in zip(ordered, bounds, bounds[1:]):
+        left[lo:hi] = values.searchsorted(keys[lo:hi])
+    # equal scores share ``left``: order the entries by (row, left, column),
+    # then count each one's equal tracked scores before it
+    packed = np.sort((flat // n * (n + 1) + left) * n + flat % n)
+    run, col = np.divmod(packed, n)
+    row, left = np.divmod(run, n + 1)
+    index = np.arange(packed.size)
+    ranks = left + index + 1 - np.maximum.accumulate(np.where(np.diff(run, prepend=-1) != 0, index, 0))
+    last = np.diff(run, append=-1) != 0
+    right = ranks[np.minimum.accumulate(np.where(last, index, packed.size)[::-1])[::-1]]
+    # the score just past the end of a run must differ, or an untracked score ties it
+    here, after = ordered.ravel()[row * n + np.stack((left, np.minimum(ranks, n - 1)))]
+    for i in np.unique(row[last & (ranks < n) & ((after == here) | np.isnan(here))]).tolist():
+        lo, hi = bounds[i], bounds[i + 1]
+        rank_of = np.empty(n, dtype=np.int64)
+        rank_of[np.argsort(-scores[i], kind="stable")] = np.arange(1, n + 1)
+        ranks[lo:hi] = rank_of[col[lo:hi]]
+        right[lo:hi] = ordered[i].searchsorted(here[lo:hi], "right")
+    return row, col, ranks, left, right
 
 
 def ranking(scores) -> np.ndarray:
     """Gallery indices by descending score; equal scores keep index order."""
-    return _order(np.asarray(scores, dtype=np.float64)[None, :])[0]
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
 
 
 def _codes(classes) -> tuple[np.ndarray, np.ndarray]:
@@ -94,8 +110,8 @@ def gt_rank(sim: SimilarityMatrix, query_index: int, gt_gallery_id: str) -> int:
     """1-based rank of the ground-truth gallery item for one query."""
     if gt_gallery_id not in sim.col_index:
         raise NotFoundError(f"gallery id {gt_gallery_id!r} not present in matrix columns")
-    gt = np.array([sim.col_index[gt_gallery_id]])
-    return int(gt_positions(_order(sim.values[[query_index]]), gt)[0])
+    tracked = np.arange(len(sim.cols)) == sim.col_index[gt_gallery_id]
+    return int(positions(sim.values[[query_index]], tracked[None, :])[2][0])
 
 
 def recall_at_k(ranks, k: int) -> float:
@@ -110,52 +126,50 @@ def recall_at_k(ranks, k: int) -> float:
 
 def _scan(values, relevance, threshold=1.0, depth=None, gt=None):
     """Per-query nDCG and AP (NaN when degenerate) and the index-tie, optimistic
-    and pessimistic ranks of gallery indices ``gt``. ``relevance(start, stop,
-    order, disc)`` gives a block's relevance in rank order and its ideal DCG."""
+    and pessimistic ranks of gallery indices ``gt``.
+
+    ``relevance`` is a dense matrix oriented like ``values``, or the verb and
+    noun codes ``(qv, qn, gv, gn)`` of queries and gallery; the ideal DCG of
+    class relevance comes in closed form from its counts of 1.0 and 0.5.
+    """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     nq, ng = values.shape
-    disc = 1.0 / np.log2(np.arange(2, (ng if depth is None else min(depth, ng)) + 2))
+    depth = ng if depth is None else min(depth, ng)
+    disc = np.zeros(ng + 1)  # discount at each rank; zero past the depth
+    disc[1 : depth + 1] = 1.0 / np.log2(np.arange(2, depth + 2))
+    gain = np.cumsum(disc)  # DCG of j relevant items ranked first
     ndcg, ap = np.full((2, nq), np.nan)
     ranks = np.zeros((3, nq), dtype=np.int64)
-    for start, stop, scores, order in ranked_blocks(values):
-        rel, ideal = relevance(start, stop, order, disc)
-        dcg = (rel[:, : disc.size] * disc).sum(axis=1)
-        np.divide(dcg, ideal, out=ndcg[start:stop], where=(rel > 0).any(axis=1))
-        hits = rel >= threshold
-        precision = np.cumsum(hits, axis=1) / np.arange(1, ng + 1) * hits
-        total = hits.sum(axis=1)
-        np.divide(precision.sum(axis=1), total, out=ap[start:stop], where=total > 0)
+    codes = isinstance(relevance, tuple)
+    scale = 0.5 if codes else 1.0  # class relevance counts matching components
+    for start, stop, scores in score_blocks(values):
+        nb = stop - start
+        if codes:
+            qv, qn, gv, gn = relevance
+            rel = (gv == qv[start:stop, None]).view(np.int8) + (gn == qn[start:stop, None]).view(np.int8)
+        else:
+            rel = relevance[start:stop]
+        tracked = (rel != 0) | (rel >= threshold / scale)
         if gt is not None:
-            g = gt[start:stop]
-            g_score = scores[np.arange(stop - start), g][:, None]
-            above = (scores > g_score).sum(axis=1)
-            ties = (scores == g_score).sum(axis=1)
-            ranks[:, start:stop] = gt_positions(order, g), 1 + above, above + ties
+            tracked[np.arange(nb), gt[start:stop]] = True
+        row, col, rank, left, right = positions(scores, tracked)
+        gains = scale * rel[row, col]
+        positive = np.bincount(row[gains > 0], minlength=nb)
+        if codes:
+            ideal = 0.5 * (gain[np.bincount(row[gains == 1.0], minlength=nb)] + gain[positive])
+        else:
+            ideal = (np.sort(rel, axis=1)[:, ::-1][:, :depth] * disc[1 : depth + 1]).sum(axis=1)
+        dcg = np.bincount(row, gains * disc[rank], minlength=nb)
+        np.divide(dcg, ideal, out=ndcg[start:stop], where=positive > 0)
+        hit = np.flatnonzero(gains >= threshold)  # in rank order within each row
+        total = np.bincount(row[hit], minlength=nb)
+        seen = np.arange(1, hit.size + 1) - np.repeat(np.cumsum(total) - total, total)
+        np.divide(np.bincount(row[hit], seen / rank[hit], minlength=nb), total, out=ap[start:stop], where=total > 0)
+        if gt is not None:
+            at = np.flatnonzero(col == gt[start:stop][row])
+            ranks[:, start:stop] = rank[at], left[at] + 1, right[at]
     return ndcg, ap, ranks
-
-
-def _dense_relevance(rel: np.ndarray):
-    """Relevance read from a dense graded matrix, oriented like the scores."""
-    def relevance(start, stop, order, disc):
-        block = rel[start:stop]
-        ideal = np.sort(block, axis=1)[:, ::-1][:, : disc.size]
-        return np.take_along_axis(block, order, axis=1), (ideal * disc).sum(axis=1)
-    return relevance
-
-
-def _class_relevance(qv, qn, gv, gn):
-    """Relevance from verb/noun codes, gathered straight into rank order; the
-    ideal DCG comes in closed form from the counts of 1.0 and 0.5 relevance."""
-    def relevance(start, stop, order, disc):
-        rel = (gv[order] == qv[start:stop, None]).astype(np.float64)
-        rel += gn[order] == qn[start:stop, None]
-        rel *= 0.5
-        gain = np.concatenate(([0.0], np.cumsum(disc)))
-        full = np.minimum((rel == 1.0).sum(axis=1), disc.size)
-        some = np.minimum((rel > 0.0).sum(axis=1), disc.size)
-        return rel, 0.5 * (gain[full] + gain[some])
-    return relevance
 
 
 def _mean(per_query: np.ndarray) -> float:
@@ -166,16 +180,11 @@ def _mean(per_query: np.ndarray) -> float:
     return sum(used) / len(used)
 
 
-def _dense_mean(scores, rels, metric: int, **options) -> float:
-    """Mean of ``_scan`` output ``metric`` (0 nDCG, 1 AP) with dense relevance."""
-    return _mean(_scan(scores, _dense_relevance(rels), **options)[metric])
-
-
 def _query_metric(sim_row, rel_row, metric: int, **options) -> float:
     scores, rels = np.asarray(sim_row, dtype=np.float64), np.asarray(rel_row, dtype=np.float64)
     if scores.shape != rels.shape or scores.ndim != 1 or scores.size < 1:
         raise ShapeMismatchError("score and relevance rows must be equal-length 1-D vectors")
-    return _dense_mean(scores[None, :], rels[None, :], metric, **options)
+    return _mean(_scan(scores[None, :], rels[None, :], **options)[metric])
 
 
 def ndcg_query(sim_row, rel_row, depth: int | None = None) -> float:
@@ -197,7 +206,7 @@ def _dense_average(sim, rel, direction: str, metric: int, **options) -> float:
         t2v = _dense_average(sim, rel, "t2v", metric, **options)
         return 0.5 * (t2v + _dense_average(sim, rel, "v2t", metric, **options))
     pair = (sim.values, rel.values) if direction == "t2v" else (sim.values.T, rel.values.T)
-    return _dense_mean(*pair, metric, **options)
+    return _mean(_scan(*pair, **options)[metric])
 
 
 def ndcg_average(
@@ -325,8 +334,7 @@ def metrics_report(
         (sim.values.T, sim.cols, sim.row_index, cols, rows),
     ):
         gt = np.array([gallery.get(q, -1) for q in queries])
-        relevance = _class_relevance(*query_codes, *gallery_codes)
-        scan = _scan(values, relevance, threshold, depth, np.maximum(gt, 0))
+        scan = _scan(values, (*query_codes, *gallery_codes), threshold, depth, np.maximum(gt, 0))
         directions.append(_direction_metrics(*scan, gt >= 0, recall_ks))
     t2v, v2t = directions
     return MetricsReport(t2v, v2t, 0.5 * (t2v.ndcg + v2t.ndcg), 0.5 * (t2v.map + v2t.map))

@@ -33,7 +33,7 @@ from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
 from framebias.matrices import SimilarityMatrix
-from framebias.metrics import gt_positions, ranked_blocks, recall_at_k
+from framebias.metrics import recall_at_k, score_blocks
 
 GENERATOR_ID = "numpy-default-rng-pcg64"
 _NOISE_STREAM = 0x6E6F6973  # keeps clip noise independent of the length draws
@@ -235,20 +235,29 @@ class SweepRow:
 def _condition_metrics(sim: SimilarityMatrix, dataset: Dataset, topk: int, row_indices=None):
     """Mean GT rank, recall@10 and mean top-k gallery length over the queries.
 
-    A query's ground truth is the gallery clip with its own id. Each query is
-    ranked once; its top-k length is an integer sum over k.
+    A query's ground truth is the gallery clip with its own id; its rank is
+    1 + (scores above it) + (equal scores at a lower index). The top k are
+    the scores above the k-th largest plus the lowest-index ties with it, so
+    no row is sorted; a query's top-k length is an integer sum over k.
     """
     rows = range(len(sim.rows)) if row_indices is None else list(row_indices)
     values = sim.values if row_indices is None else sim.values[rows]
     gt = np.array([sim.col_index[sim.rows[i]] for i in rows], dtype=np.int64)
     lengths = np.array([frame_length(dataset.by_id[c]) for c in sim.cols], dtype=np.int64)
-    k = min(topk, len(sim.cols))
-    if k < 1:
-        raise ValueError(f"k must be in [1, {len(sim.cols)}], got {k}")
+    n = len(sim.cols)
+    k = min(topk, n)
+    index = np.arange(n)
     ranks, topk_means = [], []
-    for start, stop, _, order in ranked_blocks(values):
-        ranks.extend(gt_positions(order, gt[start:stop]).tolist())
-        topk_means.extend((lengths[order[:, :k]].sum(axis=1) / k).tolist())
+    for start, stop, scores in score_blocks(values):
+        g = gt[start:stop, None]
+        g_score = np.take_along_axis(scores, g, axis=1)
+        ties_before = ((scores == g_score) & (index < g)).sum(axis=1)
+        ranks.extend((1 + (scores > g_score).sum(axis=1) + ties_before).tolist())
+        kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
+        above = scores > kth
+        at = scores == kth
+        top = above | (at & (np.cumsum(at, axis=1) <= k - above.sum(axis=1, keepdims=True)))
+        topk_means.extend((np.where(top, lengths, 0).sum(axis=1) / k).tolist())
     return sum(ranks) / len(ranks), recall_at_k(ranks, 10), sum(topk_means) / len(topk_means)
 
 
@@ -267,6 +276,8 @@ def bias_sweep(
     seeds = list(seeds)
     if not alphas or not seeds:
         raise ValueError("alphas and seeds must be non-empty")
+    if topk < 1:
+        raise ValueError(f"topk must be >= 1, got {topk}")
     rows = []
     for seed in seeds:
         cfg = replace(config, seed=seed)
@@ -308,6 +319,8 @@ def single_class_ablation(
     config: SimConfig, action_class: ActionClass, fraction: float, seeds, topk: int = 20
 ) -> list[AblationRow]:
     """Remove-long vs remove-short ablation of one class across seeds."""
+    if topk < 1:
+        raise ValueError(f"topk must be >= 1, got {topk}")
     rows = []
     for seed in seeds:
         cfg = replace(config, seed=seed)

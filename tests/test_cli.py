@@ -316,6 +316,18 @@ def test_simulate_rejects_conditions_sharing_files(workspace, capsys, seeds, alp
     assert not (workspace / "out/clash").exists()
 
 
+@pytest.mark.parametrize("topk", ["0", "-3"])
+def test_simulate_rejects_topk_below_one_before_writing(workspace, capsys, topk):
+    argv = [
+        "simulate", "--classes", "2", "--train-per-class", "3", "--test-per-class", "2",
+        "--seeds", "0", "--alphas", "10", "--topk", topk, "--out-dir", "out/sim",
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"framebias simulate: error: topk must be >= 1, got {topk}"]
+    assert not (workspace / "out/sim").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
 def test_non_finite_float_flags_rejected(workspace, capsys, value):
     argv = [

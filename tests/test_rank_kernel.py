@@ -1,7 +1,8 @@
 """The blocked ranking kernel against stable argsort and per-query oracles.
 
 Scores are drawn tie-heavy (rounded values, signed zeros) because the kernel
-sorts unstably and must restore the index order of equal scores itself.
+places equal scores by index itself: within a run of equal tracked scores,
+or by a full stable argsort when a tracked score ties an untracked one.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from framebias.dataset import ClipRecord, Dataset
 from framebias.errors import DegenerateInputError
 from framebias.matrices import SimilarityMatrix
-from framebias.metrics import metrics_report, ranked_blocks, ranking
+from framebias.metrics import metrics_report, positions, ranking, score_blocks
 
 from oracles import naive_ap, naive_ndcg, naive_ranking
 
@@ -26,8 +27,16 @@ def tie_heavy(rng, shape):
     return rng.normal(size=shape)
 
 
+def block_order(scores):
+    """Each row's order, inverted from the kernel's positions of all its columns."""
+    row, col, ranks, _, _ = positions(scores, np.ones(scores.shape, dtype=bool))
+    order = np.empty(scores.shape, dtype=np.int64)
+    order[row, ranks - 1] = col
+    return order
+
+
 def kernel_orders(queries):
-    orders = [order for _, _, _, order in ranked_blocks(queries)]
+    orders = [block_order(scores) for _, _, scores in score_blocks(queries)]
     return np.concatenate(orders) if orders else np.empty((0, queries.shape[1]), dtype=np.int64)
 
 

@@ -290,6 +290,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             bias_sweep(SimConfig(), [1.0], [])
 
+    def test_topk_below_one_rejected_before_any_condition(self):
+        cfg = SimConfig(num_classes=3, train_per_class=6, test_per_class=2, seed=0)
+        calls = []
+        with pytest.raises(ValueError, match="topk"):
+            bias_sweep(cfg, alphas=[5.0], seeds=[0], min_class_size=2, topk=0,
+                       on_condition=lambda *args: calls.append(args))
+        assert calls == []
+        with pytest.raises(ValueError, match="topk"):
+            single_class_ablation(cfg, class_for_index(cfg, 0), 0.5, seeds=[0], topk=-1)
+
     def test_callback_sees_every_condition(self):
         cfg = SimConfig(num_classes=3, train_per_class=6, test_per_class=2, seed=0)
         calls = []
