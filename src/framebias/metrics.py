@@ -1,16 +1,21 @@
 """Relevancy-aware retrieval metrics over similarity matrices.
 
 The ranking convention everywhere: gallery items sorted by descending score,
-ties broken by ascending gallery index. Queries with no positive relevance
-are excluded from averages and counted in the report. Aggregate means sum in
+ties broken by ascending gallery index. Degenerate queries (for nDCG an ideal
+DCG that is not positive, for AP nothing relevant at the threshold) are
+excluded from averages and counted in the report. Aggregate means sum in
 ascending query order, so results do not depend on evaluation schedule.
 Every metric ranks through one blocked kernel, by position: a query is scored
 from where its tracked columns land (nonzero relevance, relevance at the AP
 threshold, its GT column) in its sorted row, so no full ranking is built.
+Blocks of queries are scored on a few threads; each writes only its own
+queries' results, so they do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +25,14 @@ from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchE
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 
 DIRECTIONS = ("t2v", "v2t", "avg")
-_BLOCK_SCORES = 1 << 16  # scores ranked at once: a block's scratch arrays stay in cache
+_BLOCK_SCORES = 1 << 17  # scores ranked at once: a block's scratch arrays stay small
+# threads that score blocks at once: the usable CPUs, at most four
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def _block_bounds(values: np.ndarray) -> list[tuple[int, int]]:
+    rows = max(1, _BLOCK_SCORES // max(1, values.shape[1]))
+    return [(start, min(start + rows, values.shape[0])) for start in range(0, values.shape[0], rows)]
 
 
 def score_blocks(values: np.ndarray):
@@ -31,10 +43,43 @@ def score_blocks(values: np.ndarray):
     direction pass ``matrix.values.T``: each block of that view is copied out
     contiguous, so no transposed matrix is ever made.
     """
-    rows = max(1, _BLOCK_SCORES // max(1, values.shape[1]))
-    for start in range(0, values.shape[0], rows):
-        scores = np.ascontiguousarray(values[start : start + rows])
-        yield start, start + len(scores), scores
+    for start, stop in _block_bounds(values):
+        yield start, stop, np.ascontiguousarray(values[start:stop])
+
+
+def _each_block(values: np.ndarray, score) -> None:
+    """Call ``score(start, stop, scores)`` on the blocks ``score_blocks`` yields,
+    on up to ``_WORKERS`` threads, this one included.
+
+    A thread copies its next block out of ``values`` only when it takes it,
+    so at most one block per thread is alive. After an error no further
+    block starts, and the lowest failing block's error is raised, as a
+    serial loop raises it.
+    """
+    bounds = _block_bounds(values)
+    pending = iter(bounds)
+    lock = threading.Lock()
+    errors = {}
+
+    def work():
+        while not errors:
+            with lock:
+                start, stop = next(pending, (None, None))
+            if start is None:
+                return
+            try:
+                score(start, stop, np.ascontiguousarray(values[start:stop]))
+            except BaseException as error:
+                errors[start] = error
+
+    threads = [threading.Thread(target=work) for _ in range(min(_WORKERS, len(bounds)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def positions(scores: np.ndarray, tracked: np.ndarray):
@@ -125,8 +170,10 @@ def recall_at_k(ranks, k: int) -> float:
 
 
 def _scan(values, relevance, threshold=1.0, depth=None, gt=None):
-    """Per-query nDCG and AP (NaN when degenerate) and the index-tie, optimistic
-    and pessimistic ranks of gallery indices ``gt``.
+    """Per-query nDCG and AP and the index-tie, optimistic and pessimistic ranks
+    of gallery indices ``gt``. nDCG is NaN where the ideal DCG is not positive
+    (negative dense relevance can cancel it), AP where nothing reaches the
+    threshold.
 
     ``relevance`` is a dense matrix oriented like ``values``, or the verb and
     noun codes ``(qv, qn, gv, gn)`` of queries and gallery; the ideal DCG of
@@ -143,7 +190,8 @@ def _scan(values, relevance, threshold=1.0, depth=None, gt=None):
     ranks = np.zeros((3, nq), dtype=np.int64)
     codes = isinstance(relevance, tuple)
     scale = 0.5 if codes else 1.0  # class relevance counts matching components
-    for start, stop, scores in score_blocks(values):
+
+    def score(start, stop, scores):
         nb = stop - start
         if codes:
             qv, qn, gv, gn = relevance
@@ -155,13 +203,13 @@ def _scan(values, relevance, threshold=1.0, depth=None, gt=None):
             tracked[np.arange(nb), gt[start:stop]] = True
         row, col, rank, left, right = positions(scores, tracked)
         gains = scale * rel[row, col]
-        positive = np.bincount(row[gains > 0], minlength=nb)
         if codes:
+            positive = np.bincount(row[gains > 0], minlength=nb)
             ideal = 0.5 * (gain[np.bincount(row[gains == 1.0], minlength=nb)] + gain[positive])
         else:
             ideal = (np.sort(rel, axis=1)[:, ::-1][:, :depth] * disc[1 : depth + 1]).sum(axis=1)
         dcg = np.bincount(row, gains * disc[rank], minlength=nb)
-        np.divide(dcg, ideal, out=ndcg[start:stop], where=positive > 0)
+        np.divide(dcg, ideal, out=ndcg[start:stop], where=ideal > 0)
         hit = np.flatnonzero(gains >= threshold)  # in rank order within each row
         total = np.bincount(row[hit], minlength=nb)
         seen = np.arange(1, hit.size + 1) - np.repeat(np.cumsum(total) - total, total)
@@ -169,14 +217,19 @@ def _scan(values, relevance, threshold=1.0, depth=None, gt=None):
         if gt is not None:
             at = np.flatnonzero(col == gt[start:stop][row])
             ranks[:, start:stop] = rank[at], left[at] + 1, right[at]
+
+    _each_block(values, score)
     return ndcg, ap, ranks
 
 
-def _mean(per_query: np.ndarray) -> float:
+_DEGENERATE = ("its ideal DCG is not positive", "nothing is relevant at the threshold")  # per metric
+
+
+def _mean(per_query: np.ndarray, metric: int) -> float:
     """Mean over non-degenerate queries, summed in ascending query order."""
     used = per_query[~np.isnan(per_query)].tolist()
     if not used:
-        raise DegenerateInputError("every query is degenerate (nothing relevant to rank)")
+        raise DegenerateInputError(f"every query is degenerate ({_DEGENERATE[metric]})")
     return sum(used) / len(used)
 
 
@@ -184,7 +237,7 @@ def _query_metric(sim_row, rel_row, metric: int, **options) -> float:
     scores, rels = np.asarray(sim_row, dtype=np.float64), np.asarray(rel_row, dtype=np.float64)
     if scores.shape != rels.shape or scores.ndim != 1 or scores.size < 1:
         raise ShapeMismatchError("score and relevance rows must be equal-length 1-D vectors")
-    return _mean(_scan(scores[None, :], rels[None, :], **options)[metric])
+    return _mean(_scan(scores[None, :], rels[None, :], **options)[metric], metric)
 
 
 def ndcg_query(sim_row, rel_row, depth: int | None = None) -> float:
@@ -206,7 +259,7 @@ def _dense_average(sim, rel, direction: str, metric: int, **options) -> float:
         t2v = _dense_average(sim, rel, "t2v", metric, **options)
         return 0.5 * (t2v + _dense_average(sim, rel, "v2t", metric, **options))
     pair = (sim.values, rel.values) if direction == "t2v" else (sim.values.T, rel.values.T)
-    return _mean(_scan(*pair, **options)[metric])
+    return _mean(_scan(*pair, **options)[metric], metric)
 
 
 def ndcg_average(
@@ -294,8 +347,8 @@ class MetricsReport:
 def _direction_metrics(ndcg, ap, gt_ranks, has_gt, recall_ks) -> DirectionMetrics:
     ranks, ranks_opt, ranks_pes = (r[has_gt].tolist() for r in gt_ranks)
     return DirectionMetrics(
-        ndcg=_mean(ndcg),
-        map=_mean(ap),
+        ndcg=_mean(ndcg, 0),
+        map=_mean(ap, 1),
         recall={k: recall_at_k(ranks, k) for k in recall_ks} if ranks else {},
         mean_rank=sum(ranks) / len(ranks) if ranks else None,
         median_rank=float(np.median(ranks)) if ranks else None,

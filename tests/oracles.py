@@ -24,17 +24,17 @@ def naive_ranking(scores):
 
 
 def naive_ndcg(scores, rels, depth=None):
-    """nDCG for one query; None when no item has positive relevance."""
-    if not any(r > 0 for r in rels):
-        return None
-    order = naive_ranking(scores)
+    """nDCG for one query; None when the ideal DCG is not positive (nothing
+    has positive relevance, or negative relevance cancels it)."""
     d = len(scores) if depth is None else min(depth, len(scores))
-    dcg = 0.0
-    for pos, idx in enumerate(order[:d], start=1):
-        dcg += rels[idx] / math.log2(pos + 1)
     idcg = 0.0
     for pos, rel in enumerate(sorted(rels, reverse=True)[:d], start=1):
         idcg += rel / math.log2(pos + 1)
+    if idcg <= 0:
+        return None
+    dcg = 0.0
+    for pos, idx in enumerate(naive_ranking(scores)[:d], start=1):
+        dcg += rels[idx] / math.log2(pos + 1)
     return dcg / idcg
 
 

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framebias.dataset import ClipRecord, Dataset
@@ -170,12 +170,8 @@ def test_query_metrics_with_negative_and_fractional_relevance(seed, n, depth, th
     rng = np.random.default_rng(seed)
     scores = tie_heavy(rng, (n,)).tolist()
     rels = rng.choice(DENSE_RELEVANCE, size=n).tolist()
-    try:
-        expected_ndcg = naive_ndcg(scores, rels, depth)
-    except ZeroDivisionError:  # negative gains cancel the ideal DCG: nDCG is undefined
-        assume(False)
-    for got, expected in (
-        (lambda: ndcg_query(scores, rels, depth), expected_ndcg),
+    for got, expected in (  # None: degenerate, e.g. negative gains cancel the ideal DCG
+        (lambda: ndcg_query(scores, rels, depth), naive_ndcg(scores, rels, depth)),
         (lambda: average_precision(scores, rels, threshold), naive_ap(scores, rels, threshold)),
     ):
         if expected is None:
@@ -190,6 +186,13 @@ def test_negative_relevance_counts_in_dcg():
     assert ndcg_query([0.9, 0.5, 0.1], [-1, 1, 0]) == pytest.approx((-1 + 1 / np.log2(3)) / (1 - 1 / 2))
     # at threshold 0 the zero is a hit and the -1 is not
     assert average_precision([0.9, 0.5, 0.1], [-1, 1, 0], threshold=0.0) == pytest.approx((1 / 2 + 2 / 3) / 2)
+
+
+@pytest.mark.parametrize("scores", [[0.1, 0.5, 0.9], [0.9, 0.5, 0.1]], ids=["dcg-negative", "dcg-zero"])
+def test_ideal_dcg_cancelled_by_negative_relevance_is_degenerate(scores):
+    # ideal DCG 0.5 / log2(2) - 1 / log2(4) = 0: nDCG is undefined, though one item is relevant
+    with pytest.raises(DegenerateInputError, match="ideal DCG is not positive"):
+        ndcg_query(scores, [0.5, 0, -1])
 
 
 @given(
