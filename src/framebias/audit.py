@@ -58,12 +58,10 @@ def stats_from_sums(action_class: ActionClass, train_n: int, train_sum: int, tes
 
 def class_stats(dataset: Dataset) -> list[ClassStats]:
     """One entry per action class present, in (verb, noun) order."""
-    by_id = dataset.by_id
     rows = []
-    for ac in dataset.classes():
-        train, test = dataset.index[ac]["train"], dataset.index[ac]["test"]
-        train_sum = sum(frame_length(by_id[i]) for i in train)
-        test_sum = sum(frame_length(by_id[i]) for i in test)
+    for ac, by_split in dataset.index.items():
+        train, test = by_split["train"], by_split["test"]
+        train_sum, test_sum = sum(map(frame_length, train)), sum(map(frame_length, test))
         rows.append(stats_from_sums(ac, len(train), train_sum, len(test), test_sum))
     return rows
 

@@ -186,9 +186,10 @@ def cmd_simulate(args) -> int:
     if args.topk < 1:
         raise ValueError(f"topk must be >= 1, got {args.topk}")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def emit(seed, alpha, dataset, reference, sim):
+        # bias_sweep checks its arguments before the first condition
+        out_dir.mkdir(parents=True, exist_ok=True)
         tag = f"seed{seed}" if alpha is None else f"seed{seed}_alpha{alpha:g}"
         with open_atomic(out_dir / f"annotations_{tag}.csv") as fh:
             fh.write(to_native_csv(reference))

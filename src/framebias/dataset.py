@@ -3,6 +3,8 @@
 A clip is a frame span of a longer video, annotated with one caption and a
 (verb, noun) action-class pair. Datasets are immutable after construction
 and keep ingestion order, so every downstream statistic is deterministic.
+A Dataset groups its clips by class and split once, in class order; per-class
+statistics walk that index.
 """
 
 from __future__ import annotations
@@ -87,25 +89,27 @@ def class_of(clip: ClipRecord) -> ActionClass:
     return ActionClass(clip.verb_class, clip.noun_class)
 
 
-def build_class_index(clips: tuple[ClipRecord, ...]) -> dict[ActionClass, dict[str, tuple[str, ...]]]:
-    """Map each action class to its clip ids, partitioned by split.
+def build_class_index(clips: tuple[ClipRecord, ...]) -> dict[ActionClass, dict[str, tuple[ClipRecord, ...]]]:
+    """Group the clips by action class, in (verb, noun) order, then by split.
 
-    Ids appear in ingestion order; rebuilding from the same clips is
-    bit-identical to the index stored on the Dataset.
+    Each class maps ``"train"`` and ``"test"`` to its clips in ingestion
+    order; rebuilding from the same clips gives an equal index.
     """
-    acc: dict[ActionClass, dict[str, list[str]]] = {}
+    groups: dict[tuple[int, int, str], list[ClipRecord]] = {}
     for clip in clips:
-        entry = acc.setdefault(class_of(clip), {"train": [], "test": []})
-        entry[clip.split].append(clip.clip_id)
-    return {ac: {"train": tuple(e["train"]), "test": tuple(e["test"])} for ac, e in acc.items()}
+        groups.setdefault((clip.verb_class, clip.noun_class, clip.split), []).append(clip)
+    return {
+        ActionClass(verb, noun): {split: tuple(groups.get((verb, noun, split), ())) for split in SPLITS}
+        for verb, noun in sorted({key[:2] for key in groups})
+    }
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable, ordered collection of clips with a per-class split index."""
+    """Immutable, ordered collection of clips, grouped once by class and split."""
 
     clips: tuple[ClipRecord, ...]
-    index: dict[ActionClass, dict[str, tuple[str, ...]]] = field(
+    index: dict[ActionClass, dict[str, tuple[ClipRecord, ...]]] = field(
         init=False, compare=False, repr=False
     )
     by_id: dict[str, ClipRecord] = field(init=False, compare=False, repr=False)
@@ -127,22 +131,19 @@ class Dataset:
 
     def classes(self) -> list[ActionClass]:
         """All action classes present, in (verb, noun) lexicographic order."""
-        return sorted(self.index)
+        return list(self.index)
 
     def split_clips(self, split: str) -> tuple[ClipRecord, ...]:
         if split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
         return tuple(c for c in self.clips if c.split == split)
 
-    def clip_ids(self, action_class: ActionClass, split: str) -> tuple[str, ...]:
-        """Ids of the class's clips in one split; empty if class unknown."""
+    def clips_of(self, action_class: ActionClass, split: str) -> tuple[ClipRecord, ...]:
+        """The class's clips in one split, in ingestion order; empty if the class is unknown."""
         if split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
         entry = self.index.get(action_class)
         return entry[split] if entry is not None else ()
-
-    def clips_of(self, action_class: ActionClass, split: str) -> tuple[ClipRecord, ...]:
-        return tuple(self.by_id[i] for i in self.clip_ids(action_class, split))
 
 
 def _int_field(value: str, name: str) -> int:

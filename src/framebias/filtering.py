@@ -121,11 +121,9 @@ def filter_margin(dataset: Dataset, config: FilterConfig) -> tuple[Dataset, Filt
     """Apply the greedy margin filter to every class; test clips pass through."""
     removed_ids: list[str] = []
     outcomes: list[ClassFilterOutcome] = []
-    for ac in dataset.classes():
-        train = dataset.clips_of(ac, "train")
-        test = dataset.clips_of(ac, "test")
-        train_sum = sum(frame_length(c) for c in train)
-        test_sum = sum(frame_length(c) for c in test)
+    for ac, by_split in dataset.index.items():
+        train, test = by_split["train"], by_split["test"]
+        train_sum, test_sum = sum(map(frame_length, train)), sum(map(frame_length, test))
         before = stats_from_sums(ac, len(train), train_sum, len(test), test_sum)
         if not train:
             outcomes.append(ClassFilterOutcome(ac, SKIPPED_NO_TRAIN, before, before))

@@ -35,26 +35,15 @@ def _block_bounds(values: np.ndarray) -> list[tuple[int, int]]:
     return [(start, min(start + rows, values.shape[0])) for start in range(0, values.shape[0], rows)]
 
 
-def score_blocks(values: np.ndarray):
-    """Yield ``(start, stop, scores)`` per block of query rows.
-
-    A block holds about ``_BLOCK_SCORES`` scores (at least one row), so its
-    scratch arrays stay a fixed size whatever the gallery width. For the v2t
-    direction pass ``matrix.values.T``: each block of that view is copied out
-    contiguous, so no transposed matrix is ever made.
-    """
-    for start, stop in _block_bounds(values):
-        yield start, stop, np.ascontiguousarray(values[start:stop])
-
-
 def _each_block(values: np.ndarray, score) -> None:
-    """Call ``score(start, stop, scores)`` on the blocks ``score_blocks`` yields,
-    on up to ``_WORKERS`` threads, this one included.
+    """Call ``score(start, stop, scores)`` on each block of query rows, on up
+    to ``_WORKERS`` threads, this one included.
 
-    A thread copies its next block out of ``values`` only when it takes it,
-    so at most one block per thread is alive. After an error no further
-    block starts, and the lowest failing block's error is raised, as a
-    serial loop raises it.
+    A block holds about ``_BLOCK_SCORES`` scores (at least one row), copied
+    out of ``values`` contiguous only when a thread takes it: at most one
+    block per thread is alive, and for v2t ``matrix.values.T`` is passed with
+    no transposed matrix ever made. After an error no further block starts,
+    and the lowest failing block's error is raised, as a serial loop raises it.
     """
     bounds = _block_bounds(values)
     pending = iter(bounds)
@@ -237,6 +226,10 @@ def _query_metric(sim_row, rel_row, metric: int, **options) -> float:
     scores, rels = np.asarray(sim_row, dtype=np.float64), np.asarray(rel_row, dtype=np.float64)
     if scores.shape != rels.shape or scores.ndim != 1 or scores.size < 1:
         raise ShapeMismatchError("score and relevance rows must be equal-length 1-D vectors")
+    for name, row in (("scores", scores), ("relevance", rels)):
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            raise ShapeMismatchError(f"{name} row values must all be finite: {row[bad[0]]} at position {bad[0]}")
     return _mean(_scan(scores[None, :], rels[None, :], **options)[metric], metric)
 
 

@@ -33,7 +33,7 @@ from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
 from framebias.matrices import SimilarityMatrix
-from framebias.metrics import recall_at_k, score_blocks
+from framebias.metrics import _each_block, recall_at_k
 
 GENERATOR_ID = "numpy-default-rng-pcg64"
 _NOISE_STREAM = 0x6E6F6973  # keeps clip noise independent of the length draws
@@ -247,17 +247,21 @@ def _condition_metrics(sim: SimilarityMatrix, dataset: Dataset, topk: int, row_i
     n = len(sim.cols)
     k = min(topk, n)
     index = np.arange(n)
-    ranks, topk_means = [], []
-    for start, stop, scores in score_blocks(values):
+    ranks, topk_sums = np.empty((2, len(gt)), dtype=np.int64)
+
+    def score(start, stop, scores):
         g = gt[start:stop, None]
         g_score = np.take_along_axis(scores, g, axis=1)
         ties_before = ((scores == g_score) & (index < g)).sum(axis=1)
-        ranks.extend((1 + (scores > g_score).sum(axis=1) + ties_before).tolist())
+        ranks[start:stop] = 1 + (scores > g_score).sum(axis=1) + ties_before
         kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
         above = scores > kth
         at = scores == kth
         top = above | (at & (np.cumsum(at, axis=1) <= k - above.sum(axis=1, keepdims=True)))
-        topk_means.extend((np.where(top, lengths, 0).sum(axis=1) / k).tolist())
+        topk_sums[start:stop] = np.where(top, lengths, 0).sum(axis=1)
+
+    _each_block(values, score)
+    ranks, topk_means = ranks.tolist(), (topk_sums / k).tolist()
     return sum(ranks) / len(ranks), recall_at_k(ranks, 10), sum(topk_means) / len(topk_means)
 
 
@@ -278,29 +282,24 @@ def bias_sweep(
         raise ValueError("alphas and seeds must be non-empty")
     if topk < 1:
         raise ValueError(f"topk must be >= 1, got {topk}")
+    filters = [FilterConfig(alpha=alpha, min_class_size=min_class_size) for alpha in alphas]
+
+    def condition(cfg, dataset, alpha, reference):
+        # the matrix is dropped on return: no condition's matrix outlives its scoring
+        sim, _ = synth_similarity(dataset, cfg, reference)
+        if on_condition is not None:
+            on_condition(cfg.seed, alpha, dataset, reference, sim)
+        return _condition_metrics(sim, dataset, topk)
+
     rows = []
     for seed in seeds:
         cfg = replace(config, seed=seed)
         dataset = synth_dataset(cfg)
-        sim0, _ = synth_similarity(dataset, cfg, dataset)
-        if on_condition is not None:
-            on_condition(seed, None, dataset, dataset, sim0)
-        mean_rank, r10, mean_len = _condition_metrics(sim0, dataset, topk)
-        rows.append(SweepRow(seed, None, 0, 0, mean_rank, r10, mean_len))
-        for alpha in alphas:
-            filtered, report = filter_margin(
-                dataset, FilterConfig(alpha=alpha, min_class_size=min_class_size)
-            )
-            sim1, _ = synth_similarity(dataset, cfg, filtered)
-            if on_condition is not None:
-                on_condition(seed, alpha, dataset, filtered, sim1)
-            mean_rank, r10, mean_len = _condition_metrics(sim1, dataset, topk)
-            rows.append(
-                SweepRow(
-                    seed, alpha, report.removed_count, report.classes_touched,
-                    mean_rank, r10, mean_len,
-                )
-            )
+        rows.append(SweepRow(seed, None, 0, 0, *condition(cfg, dataset, None, dataset)))
+        for alpha, filter_config in zip(alphas, filters):
+            filtered, report = filter_margin(dataset, filter_config)
+            scores = condition(cfg, dataset, alpha, filtered)
+            rows.append(SweepRow(seed, alpha, report.removed_count, report.classes_touched, *scores))
     return rows
 
 

@@ -16,7 +16,7 @@ import pytest
 from framebias import metrics
 from framebias.errors import DegenerateInputError
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
-from framebias.simulate import SimConfig, synth_dataset, synth_similarity
+from framebias.simulate import SimConfig, bias_sweep, synth_dataset, synth_similarity
 
 from test_matrix_memory import traced_peak
 from test_rank_kernel import random_eval, tie_heavy
@@ -79,6 +79,17 @@ def test_dense_averages_do_not_depend_on_thread_count(monkeypatch, seed):
             assert_same_for_every_thread_count(monkeypatch, metrics.map_average, sim, rel, threshold, direction)
         for depth in DEPTHS:
             assert_same_for_every_thread_count(monkeypatch, metrics.ndcg_average, sim, rel, direction, depth)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_sweep_does_not_depend_on_thread_count(monkeypatch, noise):
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 256)  # five 48-wide rows per block
+    config = SimConfig(num_classes=12, train_per_class=12, test_per_class=4, class_len_spread=300.0, noise_stddev=noise)
+    sweeps = []
+    for workers in WORKERS:
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        sweeps.append(bias_sweep(config, [0.0, 20.0], range(3), min_class_size=4, topk=5))
+    assert sweeps[1:] == [sweeps[0]] * (len(WORKERS) - 1)
 
 
 def test_every_block_is_scored_once_under_frequent_switches(monkeypatch):

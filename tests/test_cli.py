@@ -328,6 +328,25 @@ def test_simulate_rejects_topk_below_one_before_writing(workspace, capsys, topk)
     assert not (workspace / "out/sim").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--min-class-size=0", "min_class_size must be >= 1, got 0"),
+        ("--alphas=-5", "alpha must be >= 0, got -5.0"),
+        ("--seeds=", "alphas and seeds must be non-empty"),
+    ],
+    ids=["min-class-size-zero", "negative-alpha", "no-seeds"],
+)
+def test_simulate_rejects_sweep_arguments_before_writing(workspace, capsys, flag, message):
+    argv = [
+        "simulate", "--classes", "2", "--train-per-class", "3", "--test-per-class", "2",
+        "--seeds", "0", "--alphas", "10", flag, "--out-dir", "out/sim",
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"framebias simulate: error: {message}"]
+    assert list((workspace / "out").iterdir()) == []  # not even the --out-dir
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
 def test_non_finite_float_flags_rejected(workspace, capsys, value):
     argv = [

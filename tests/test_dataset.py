@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framebias.dataset import (
+    SPLITS,
     ActionClass,
     ClipRecord,
     Dataset,
@@ -175,6 +178,36 @@ def test_unknown_format():
 def test_clip_lookup(data_dir):
     ds = load_annotations(data_dir / "tiny.csv")
     assert ds.by_id["c05"].caption == "pick up rubbish"
-    assert ds.clip_ids(ActionClass(1, 2), "train") == ("c01", "c02")
-    assert ds.clip_ids(ActionClass(1, 2), "test") == ("c03",)
-    assert ds.clip_ids(ActionClass(9, 9), "train") == ()
+    assert [c.clip_id for c in ds.clips_of(ActionClass(1, 2), "train")] == ["c01", "c02"]
+    assert [c.clip_id for c in ds.clips_of(ActionClass(1, 2), "test")] == ["c03"]
+    assert ds.clips_of(ActionClass(9, 9), "train") == ()
+
+
+# negative and repeated codes; a class often has clips in one split only
+_CLIP_KEYS = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.sampled_from(SPLITS)), max_size=40)
+
+
+@given(keys=_CLIP_KEYS)
+@settings(max_examples=200, deadline=None)
+def test_class_index_groups_clips_in_class_then_ingestion_order(keys):
+    clips = tuple(
+        ClipRecord(f"c{i}", "v", split, 0, i, "x", verb, noun) for i, (verb, noun, split) in enumerate(keys)
+    )
+    classes = sorted({class_of(c) for c in clips})
+    naive = [
+        (ac, {split: tuple(c for c in clips if class_of(c) == ac and c.split == split) for split in SPLITS})
+        for ac in classes
+    ]
+    assert list(build_class_index(clips).items()) == naive
+    ds = Dataset(clips=clips)
+    assert list(ds.index.items()) == naive
+    assert ds.classes() == classes
+    listed = ds.classes()
+    listed.append(ActionClass(9, 9))
+    assert ds.classes() == classes  # a fresh list per call
+    for ac, by_split in naive:
+        for split in SPLITS:
+            assert ds.clips_of(ac, split) == by_split[split]
+    assert ds.clips_of(ActionClass(3, 3), "train") == ()
+    with pytest.raises(ValueError, match="split"):
+        ds.clips_of(ActionClass(0, 0), "val")

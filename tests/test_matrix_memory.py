@@ -12,7 +12,7 @@ import pytest
 from framebias.errors import ShapeMismatchError
 from framebias.filtering import sum_similarity_matrices
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix, load_matrix, save_matrix, to_binary
-from framebias.metrics import _BLOCK_SCORES, score_blocks
+from framebias.metrics import _BLOCK_SCORES, _block_bounds
 
 from test_rank_kernel import block_order
 
@@ -121,7 +121,7 @@ def test_sum_holds_the_total_and_one_matrix():
 
 def test_blocks_hold_a_bounded_number_of_scores():
     values = np.random.default_rng(1).normal(size=(40, 5000)).round(1)
-    blocks = list(score_blocks(values))
+    blocks = [(start, stop, values[start:stop]) for start, stop in _block_bounds(values)]
     assert len(blocks) > 1
     assert all(scores.size <= _BLOCK_SCORES for _, _, scores in blocks)
     assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
@@ -129,4 +129,4 @@ def test_blocks_hold_a_bounded_number_of_scores():
     assert np.array_equal(order, np.argsort(-values, axis=1, kind="stable"))
     # a row wider than the budget is ranked alone
     wide = np.zeros((3, _BLOCK_SCORES + 1))
-    assert [(start, stop) for start, stop, _ in score_blocks(wide)] == [(0, 1), (1, 2), (2, 3)]
+    assert _block_bounds(wide) == [(0, 1), (1, 2), (2, 3)]

@@ -107,6 +107,15 @@ class TestRecall:
             recall_at_k([], 5)
 
 
+# non-finite rows, the error names the row and the first non-finite position
+NON_FINITE_ROWS = [
+    ([0.1, 0.2, 0.3], [np.nan, 1.0, 0.0], r"relevance row .*: nan at position 0"),
+    ([0.1, 0.2, 0.3], [0.0, 1.0, np.inf], r"relevance row .*: inf at position 2"),
+    ([0.1, np.nan, 0.3], [np.nan, 1.0, 0.0], r"scores row .*: nan at position 1"),
+    ([0.1, -np.inf, np.inf], [1.0, 1.0, 0.0], r"scores row .*: -inf at position 1"),
+]
+
+
 class TestNdcgQuery:
     def test_ideal_ordering(self):
         assert ndcg_query([0.9, 0.5, 0.1], [1.0, 0.5, 0.0]) == 1.0
@@ -135,6 +144,11 @@ class TestNdcgQuery:
         with pytest.raises(ShapeMismatchError):
             ndcg_query([0.9], [1.0, 0.5])
 
+    @pytest.mark.parametrize("scores, rels, message", NON_FINITE_ROWS)
+    def test_non_finite(self, scores, rels, message):
+        with pytest.raises(ShapeMismatchError, match=message):
+            ndcg_query(scores, rels)
+
 
 class TestAveragePrecision:
     def test_all_relevant(self):
@@ -155,6 +169,11 @@ class TestAveragePrecision:
     def test_degenerate(self):
         with pytest.raises(DegenerateInputError):
             average_precision([0.9, 0.5], [0.5, 0.0], threshold=1.0)
+
+    @pytest.mark.parametrize("scores, rels, message", NON_FINITE_ROWS)
+    def test_non_finite(self, scores, rels, message):
+        with pytest.raises(ShapeMismatchError, match=message):
+            average_precision(scores, rels)
 
 
 class TestAggregates:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from framebias.dataset import ClipRecord, Dataset
 from framebias.errors import DegenerateInputError
 from framebias.matrices import SimilarityMatrix
-from framebias.metrics import metrics_report, positions, ranking, score_blocks
+from framebias.metrics import _block_bounds, metrics_report, positions, ranking
 
 from oracles import naive_ap, naive_ndcg, naive_ranking
 
@@ -36,7 +36,7 @@ def block_order(scores):
 
 
 def kernel_orders(queries):
-    orders = [block_order(scores) for _, _, scores in score_blocks(queries)]
+    orders = [block_order(np.ascontiguousarray(queries[start:stop])) for start, stop in _block_bounds(queries)]
     return np.concatenate(orders) if orders else np.empty((0, queries.shape[1]), dtype=np.int64)
 
 

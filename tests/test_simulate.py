@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -299,6 +301,27 @@ class TestSweep:
         assert calls == []
         with pytest.raises(ValueError, match="topk"):
             single_class_ablation(cfg, class_for_index(cfg, 0), 0.5, seeds=[0], topk=-1)
+
+    @pytest.mark.parametrize("alphas, min_class_size", [([5.0, -5.0], 2), ([5.0], 0)])
+    def test_filter_arguments_rejected_before_any_condition(self, alphas, min_class_size):
+        cfg = SimConfig(num_classes=3, train_per_class=6, test_per_class=2, seed=0)
+        calls = []
+        with pytest.raises(ValueError, match="alpha|min_class_size"):
+            bias_sweep(cfg, alphas=alphas, seeds=[0], min_class_size=min_class_size,
+                       on_condition=lambda *args: calls.append(args))
+        assert calls == []
+
+    def test_no_condition_matrix_outlives_its_scoring(self):
+        cfg = SimConfig(num_classes=3, train_per_class=6, test_per_class=2, seed=0)
+        matrices, alive = [], []
+
+        def record(seed, alpha, ds, ref, sim):
+            alive.append([earlier for earlier, matrix in matrices if matrix() is not None])
+            matrices.append((alpha, weakref.ref(sim)))
+
+        bias_sweep(cfg, alphas=[5.0, 10.0], seeds=[0, 1], min_class_size=2, on_condition=record)
+        # the baseline's and each earlier condition's matrix are freed before the next is built
+        assert alive == [[]] * 6
 
     def test_callback_sees_every_condition(self):
         cfg = SimConfig(num_classes=3, train_per_class=6, test_per_class=2, seed=0)
