@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -294,8 +295,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# output flags of the commands that write two files
+_OUTPUT_FLAGS = {"audit": ("out", "hist_out"), "filter": ("out", "report"), "filter-one": ("out", "report")}
+
+
+def _check_distinct_outputs(parser: argparse.ArgumentParser, args) -> None:
+    """Two output flags naming one file would leave only the last file written."""
+    dests = _OUTPUT_FLAGS.get(args.command, ())
+    paths = [getattr(args, dest) for dest in dests]
+    if len(paths) == 2 and paths[1] is not None and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        flags = " and ".join("--" + dest.replace("_", "-") for dest in dests)
+        parser.error(f"{args.command}: {flags} name the same file {paths[1]!r}")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_distinct_outputs(parser, args)
     try:
         return args.func(args)
     except (FrameBiasError, ValueError, OSError) as err:

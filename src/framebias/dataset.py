@@ -13,7 +13,8 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 from framebias.errors import AnnotationParseError, ValidationError
 
@@ -42,6 +43,7 @@ SPLITS = ("train", "test")
 
 _NATIVE_FIELDS = tuple(name for name in NATIVE_COLUMNS if name != "split")
 _SPLIT_AT = NATIVE_COLUMNS.index("split")
+_INT_FIELDS = ("start_frame", "stop_frame", "verb_class", "noun_class")
 
 
 @dataclass(frozen=True, order=True)
@@ -55,10 +57,7 @@ class ActionClass:
         return f"{self.verb_class},{self.noun_class}"
 
 
-@dataclass(frozen=True)
-class ClipRecord:
-    """One trimmed clip: frame span, caption, split, and action class."""
-
+class _ClipFields(NamedTuple):  # in NATIVE_COLUMNS order
     clip_id: str
     video_id: str
     split: str
@@ -68,15 +67,30 @@ class ClipRecord:
     verb_class: int
     noun_class: int
 
-    def __post_init__(self) -> None:
-        if self.split not in SPLITS:
-            raise ValidationError(f"clip {self.clip_id!r}: split must be one of {SPLITS}, got {self.split!r}")
-        if self.start_frame < 0:
-            raise ValidationError(f"clip {self.clip_id!r}: start_frame must be >= 0, got {self.start_frame}")
-        if self.stop_frame < self.start_frame:
-            raise ValidationError(
-                f"clip {self.clip_id!r}: stop_frame {self.stop_frame} < start_frame {self.start_frame}"
-            )
+
+class ClipRecord(_ClipFields):
+    """One trimmed clip: frame span, caption, split, and action class.
+
+    An immutable tuple of the ``NATIVE_COLUMNS`` fields, validated when built;
+    ``_make`` and ``_replace`` validate too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, clip_id, video_id, split, start_frame, stop_frame, caption, verb_class, noun_class):
+        if split not in SPLITS:
+            raise ValidationError(f"clip {clip_id!r}: split must be one of {SPLITS}, got {split!r}")
+        if start_frame < 0:
+            raise ValidationError(f"clip {clip_id!r}: start_frame must be >= 0, got {start_frame}")
+        if stop_frame < start_frame:
+            raise ValidationError(f"clip {clip_id!r}: stop_frame {stop_frame} < start_frame {start_frame}")
+        return tuple.__new__(
+            cls, (clip_id, video_id, split, start_frame, stop_frame, caption, verb_class, noun_class)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> ClipRecord:
+        return cls(*iterable)
 
 
 def frame_length(clip: ClipRecord) -> int:
@@ -147,10 +161,14 @@ class Dataset:
 
 
 def _int_field(value: str, name: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise AnnotationParseError(f"field {name!r} must be an integer, got {value!r}") from None
+    """``value`` as an int: an optional ``-`` then ASCII digits, nothing else."""
+    digits = value[1:] if value.startswith("-") else value
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise AnnotationParseError(f"field {name!r} must be an integer, got {value!r}")
 
 
 def _parse_rows(text: str, columns: tuple[str, ...], split: str | None, label: str, seen: set[str]) -> list[ClipRecord]:
@@ -183,13 +201,15 @@ def _parse_rows(text: str, columns: tuple[str, ...], split: str | None, label: s
             row_split = split or row[_SPLIT_AT]
             if row_split not in SPLITS:
                 raise AnnotationParseError(f"split must be train or test, got {row_split!r}")
-            clips.append(
-                ClipRecord(
-                    clip_id, video_id, row_split,
-                    _int_field(start, "start_frame"), _int_field(stop, "stop_frame"),
-                    caption, _int_field(verb, "verb_class"), _int_field(noun, "noun_class"),
-                )
-            )
+            try:
+                start_i, stop_i, verb_i, noun_i = int(start), int(stop), int(verb), int(noun)
+                # int() also takes "+3", " 3", "1_0" and non-ASCII digits
+                digits = (start + stop + verb + noun).replace("-", "")
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
+            except ValueError:  # name the first bad field
+                start_i, stop_i, verb_i, noun_i = map(_int_field, (start, stop, verb, noun), _INT_FIELDS)
+            clips.append(ClipRecord(clip_id, video_id, row_split, start_i, stop_i, caption, verb_i, noun_i))
     except (csv.Error, AnnotationParseError, ValidationError) as err:
         kind = ValidationError if isinstance(err, ValidationError) else AnnotationParseError
         raise kind(f"{label}line {reader.line_num}: {err}") from None
@@ -243,5 +263,5 @@ def to_native_csv(dataset: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(NATIVE_COLUMNS)
-    writer.writerows(map(attrgetter(*NATIVE_COLUMNS), dataset.clips))
+    writer.writerows(dataset.clips)
     return buf.getvalue()

@@ -23,8 +23,7 @@ import io
 import struct
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from framebias._numpy import np
 from framebias.atomic import open_atomic
 from framebias.errors import AnnotationParseError, FrameBiasError, ShapeMismatchError
 

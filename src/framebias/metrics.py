@@ -18,8 +18,7 @@ import os
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
+from framebias._numpy import np
 from framebias.dataset import ActionClass, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchError
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix

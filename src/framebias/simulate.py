@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from framebias._numpy import np
 from framebias.audit import class_stats
 from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError

@@ -118,3 +118,52 @@ def test_histogram_bin_count_is_bounded():
     for bin_width in (1, 2):  # 2,000,002 and 1,000,001 bins
         with pytest.raises(DegenerateInputError, match=f"'long' of {longest} frames"):
             length_histogram(Dataset(clips=clips), bin_width=bin_width)
+
+
+# int() takes all of these; an annotation integer is an optional "-" and ASCII digits
+LOOSE_INTEGERS = ["1_0", " 5", "5 ", "+3", "\u0663", "\uff15"]
+INT_FIELDS = ("start_frame", "stop_frame", "verb_class", "noun_class")
+VALID_ROW = {"start_frame": "0", "stop_frame": "40", "verb_class": "1", "noun_class": "1"}
+
+
+def _annotation_files(tmp_path, fmt, field, value) -> list[str]:
+    ints = {**VALID_ROW, field: value}
+    start, stop, verb, noun = (ints[name] for name in INT_FIELDS)
+    if fmt == "native":
+        path = tmp_path / "ann.csv"
+        path.write_text(f'{HEADER}\na,v1,train,"{start}","{stop}",x,"{verb}","{noun}"\n', encoding="utf-8")
+        return [str(path)]
+    header = "narration_id,video_id,start_frame,stop_frame,narration,verb_class,noun_class"
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text(f"{header}\na,v1,0,40,x,1,1\n", encoding="utf-8")
+    test.write_text(f'{header}\nb,v1,"{start}","{stop}",x,"{verb}","{noun}"\n', encoding="utf-8")
+    return [str(train), str(test)]
+
+
+@pytest.mark.parametrize("value", LOOSE_INTEGERS, ids=["underscore", "space-before", "space-after", "plus", "arabic-indic", "fullwidth"])
+@pytest.mark.parametrize("field", INT_FIELDS)
+@pytest.mark.parametrize("fmt", ["native", "ek100_pair"])
+def test_cli_rejects_integers_beyond_minus_and_ascii_digits(tmp_path, capsys, fmt, field, value):
+    paths = _annotation_files(tmp_path, fmt, field, value)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["audit", "--annotations", *paths, "--format", fmt, "--out", str(out / "audit.json")]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    where = "line 2" if fmt == "native" else "test file, line 2"
+    assert lines == [f"framebias audit: error: {', '.join(paths)}: {where}: field {field!r} must be an integer, got {value!r}"]
+    assert list(out.iterdir()) == []
+    with pytest.raises(AnnotationParseError, match=f"field {field!r}"):
+        load_annotations(paths, fmt)
+
+
+def test_minus_sign_and_leading_zeros_still_parse():
+    clip = parse_annotations(f"{HEADER}\na,v1,train,-0,007,x,-3,-12\n").clips[0]
+    assert (clip.start_frame, clip.stop_frame, clip.verb_class, clip.noun_class) == (0, 7, -3, -12)
+
+
+def test_first_bad_integer_field_is_named():
+    with pytest.raises(AnnotationParseError, match=r"field 'start_frame' must be an integer, got ' 5'"):
+        parse_annotations(f'{HEADER}\na,v1,train," 5",x,x,1,1\n')
+    with pytest.raises(AnnotationParseError, match=r"field 'noun_class' must be an integer, got '--1'"):
+        parse_annotations(f"{HEADER}\na,v1,train,0,4,x,-1,--1\n")

@@ -376,3 +376,26 @@ def test_sum_sims_names_the_bad_file(workspace, capsys):
     assert main(["sum-sims", "fixtures/bad.csv", "--out", "out/x.csv"]) == 1
     err = capsys.readouterr().err
     assert "fixtures/bad.csv: matrix values must all be finite" in err and "'c03'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["audit", "--out", "out/r.json", "--hist-out", "out/r.json"], "--out and --hist-out"),
+        (["audit", "--out", "out/r.json", "--hist-out", "./out/r.json"], "--out and --hist-out"),
+        (["filter", "--alpha", "5", "--out", "out/f", "--report", "out/f"], "--out and --report"),
+        (["filter", "--alpha", "5", "--out", "./out/f", "--report", "out/../out/f"], "--out and --report"),
+        (
+            ["filter-one", "--verb", "3", "--noun", "4", "--mode", "long", "--out", "out/f", "--report", "./out/f"],
+            "--out and --report",
+        ),
+    ],
+    ids=["audit", "audit-dot-slash", "filter", "filter-dot-dot", "filter-one"],
+)
+@pytest.mark.parametrize("annotations", ["fixtures/tiny.csv", "fixtures/absent.csv"])
+def test_outputs_of_one_command_must_differ(workspace, capsys, argv, flags, annotations):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--annotations", annotations, *argv[1:]])
+    assert exc.value.code == 2  # a usage error, found before any input is read
+    assert f"{argv[0]}: {flags} name the same file" in capsys.readouterr().err
+    assert list((workspace / "out").iterdir()) == []

@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framebias.dataset import (
+    NATIVE_COLUMNS,
     SPLITS,
     ActionClass,
     ClipRecord,
@@ -211,3 +214,33 @@ def test_class_index_groups_clips_in_class_then_ingestion_order(keys):
     assert ds.clips_of(ActionClass(3, 3), "train") == ()
     with pytest.raises(ValueError, match="split"):
         ds.clips_of(ActionClass(0, 0), "val")
+
+
+CLIP = ClipRecord("a", "v", "train", 2, 9, "x", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"split": "val"}, "split must be one of"),
+        ({"start_frame": -1}, "start_frame must be >= 0, got -1"),
+        ({"stop_frame": -5}, "stop_frame -5 < start_frame 2"),
+    ],
+    ids=["bad-split", "negative-start", "stop-before-start"],
+)
+def test_clip_record_validates_however_it_is_built(change, message):
+    fields = {**CLIP._asdict(), **change}
+    with pytest.raises(ValidationError, match=f"clip 'a': {message}"):
+        ClipRecord(**fields)
+    with pytest.raises(ValidationError, match=message):
+        ClipRecord._make(fields.values())
+    with pytest.raises(ValidationError, match=message):
+        CLIP._replace(**change)
+
+
+def test_clip_record_is_a_tuple_in_native_column_order():
+    assert ClipRecord._fields == NATIVE_COLUMNS
+    assert CLIP == ("a", "v", "train", 2, 9, "x", 1, 1)
+    assert CLIP._replace(stop_frame=20) == ClipRecord("a", "v", "train", 2, 20, "x", 1, 1)
+    copy = pickle.loads(pickle.dumps(CLIP))
+    assert copy == CLIP and type(copy) is ClipRecord

@@ -121,7 +121,7 @@ def test_report_with_negative_class_codes(seed, nq, ng, classes, threshold):
     rng = np.random.default_rng(seed)
     sim, dataset = random_eval(rng, nq, ng, classes)
     codes = rng.integers(-classes, classes, size=(len(dataset.clips), 2)).tolist()
-    clips = tuple(replace(c, verb_class=v, noun_class=n) for c, (v, n) in zip(dataset.clips, codes))
+    clips = tuple(c._replace(verb_class=v, noun_class=n) for c, (v, n) in zip(dataset.clips, codes))
     check_report(sim, Dataset(clips=clips), threshold, None)
 
 
