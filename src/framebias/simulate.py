@@ -32,7 +32,7 @@ from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
 from framebias.matrices import SimilarityMatrix
-from framebias.metrics import _each_block, recall_at_k
+from framebias.metrics import _block_bounds, _each_block, recall_at_k
 
 GENERATOR_ID = "numpy-default-rng-pcg64"
 _NOISE_STREAM = 0x6E6F6973  # keeps clip noise independent of the length draws
@@ -61,6 +61,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("train_len_mean", "test_len_mean", "len_stddev", "class_len_spread", "bias_strength", "noise_stddev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.num_classes < 1 or self.train_per_class < 1 or self.test_per_class < 1:
             raise ValueError("num_classes, train_per_class, test_per_class must all be >= 1")
         if not 0.0 <= self.bias_strength <= 1.0:
@@ -108,25 +111,18 @@ def synth_dataset(config: SimConfig) -> Dataset:
     clips: list[ClipRecord] = []
     for c in range(config.num_classes):
         ac = class_for_index(config, c)
-        caption = f"do v{ac.verb_class:03d} n{ac.noun_class:03d}"
-        for split, count, mean in (
-            ("train", config.train_per_class, means[c]),
-            ("test", config.test_per_class, means[c] + offset),
+        verb, noun = ac.verb_class, ac.noun_class
+        caption = f"do v{verb:03d} n{noun:03d}"
+        video = f"vid_{c:04d}"
+        for split, tag, count, mean in (
+            ("train", "tr", config.train_per_class, means[c]),
+            ("test", "te", config.test_per_class, means[c] + offset),
         ):
-            tag = "tr" if split == "train" else "te"
-            for i, length in enumerate(_draw_lengths(rng, mean, config.len_stddev, count)):
-                clips.append(
-                    ClipRecord(
-                        clip_id=f"{tag}_{c:04d}_{i:04d}",
-                        video_id=f"vid_{c:04d}",
-                        split=split,
-                        start_frame=0,
-                        stop_frame=int(length) - 1,
-                        caption=caption,
-                        verb_class=ac.verb_class,
-                        noun_class=ac.noun_class,
-                    )
-                )
+            lengths = _draw_lengths(rng, mean, config.len_stddev, count).tolist()
+            clips += (
+                ClipRecord(f"{tag}_{c:04d}_{i:04d}", video, split, 0, length - 1, caption, verb, noun)
+                for i, length in enumerate(lengths)
+            )
     return Dataset(clips=tuple(clips))
 
 
@@ -145,8 +141,9 @@ def _bucketer(config: SimConfig, lengths) -> tuple:
 
 
 def _match_components(dataset: Dataset, config: SimConfig, train_reference: Dataset):
-    """Per-clip codes (``qi``: class index, ``qb``/``cb``: caption/clip bucket),
-    the boolean class-match and bucket-match matrices they give, provenance."""
+    """Per-clip codes (``qi``: class index, ``qb``/``cb``: caption/clip bucket)
+    and provenance; caption i matches clip j on class where ``qi[i] == qi[j]``
+    and on length where ``qb[i] == cb[j]``."""
     test_clips = dataset.split_clips("test")
     if not test_clips:
         raise DegenerateInputError("dataset has no test clips to embed")
@@ -167,8 +164,6 @@ def _match_components(dataset: Dataset, config: SimConfig, train_reference: Data
     codes = {ac: (class_idx[ac], bucket(ref_means.get(ac, global_mean))) for ac in first_seen}
     qi, qb = np.array([codes[ac] for ac in classes]).T
     cb = np.array([bucket(x) for x in test_lengths])
-    class_match = qi[:, None] == qi[None, :]
-    bucket_match = qb[:, None] == cb[None, :]
     provenance = {
         "generator": GENERATOR_ID,
         "bucket_low": lo,
@@ -176,7 +171,7 @@ def _match_components(dataset: Dataset, config: SimConfig, train_reference: Data
         "fallback_classes": fallback,
         "config": dict(vars(config)),
     }
-    return test_clips, len(class_idx), qi, qb, class_match, bucket_match, provenance
+    return test_clips, len(class_idx), qi, qb, cb, provenance
 
 
 def synth_similarity(
@@ -186,26 +181,32 @@ def synth_similarity(
 
     ``train_reference`` supplies the per-class train mean lengths; a class
     missing there falls back to the global train mean (noted in provenance).
+    The matrix is filled block of rows by block of rows, so besides it only
+    the noise and one block's scratch are held.
     """
-    test_clips, num_classes, qi, qb, class_match, bucket_match, provenance = _match_components(
-        dataset, config, train_reference
-    )
+    test_clips, num_classes, qi, qb, cb, provenance = _match_components(dataset, config, train_reference)
     lam = config.bias_strength
     a, b = (1.0 - lam) ** 2, lam**2
     # a * class_match + b * bucket_match at each (class, bucket) match pair
     table = np.array([0.0, a, b, a + b])
-    values = table.take(class_match + 2 * bucket_match.view(np.uint8))
-
+    noise_t = None
     if config.noise_stddev > 0:
         # one noise coordinate per embedding dimension of each test clip;
         # caption i adds clip j's coordinates at its class and bucket dims
         rng = np.random.default_rng([config.seed, _NOISE_STREAM])
         dim = num_classes + config.num_len_buckets
         noise_t = rng.normal(0.0, config.noise_stddev, size=(len(test_clips), dim)).T.copy()
-        class_noise, bucket_noise = (1.0 - lam) * noise_t, lam * noise_t
-        for row, c, k in zip(values, qi.tolist(), (qb + num_classes).tolist()):
-            row += class_noise[c]
-            row += bucket_noise[k]
+    values = np.empty((len(test_clips), len(test_clips)))
+    for start, stop in _block_bounds(values):
+        block = values[start:stop]
+        code = (qi[start:stop, None] == qi).view(np.uint8) + 2 * (qb[start:stop, None] == cb).view(np.uint8)
+        table.take(code, out=block, mode="clip")  # codes are 0-3; "clip" writes out unbuffered
+        if noise_t is not None:
+            for weight, dims in ((1.0 - lam, qi[start:stop]), (lam, qb[start:stop] + num_classes)):
+                term = noise_t[dims]
+                term *= weight
+                block += term
+                del term  # or the next gather would allocate beside it
 
     ids = tuple(c.clip_id for c in test_clips)
     return SimilarityMatrix(rows=ids, cols=ids, values=values), provenance
@@ -237,7 +238,8 @@ def _condition_metrics(sim: SimilarityMatrix, dataset: Dataset, topk: int, row_i
     A query's ground truth is the gallery clip with its own id; its rank is
     1 + (scores above it) + (equal scores at a lower index). The top k are
     the scores above the k-th largest plus the lowest-index ties with it, so
-    no row is sorted; a query's top-k length is an integer sum over k.
+    no row is sorted; a query's top-k length is an integer sum over k. Ties
+    are resolved per row, only in rows that have them.
     """
     rows = range(len(sim.rows)) if row_indices is None else list(row_indices)
     values = sim.values if row_indices is None else sim.values[rows]
@@ -245,19 +247,25 @@ def _condition_metrics(sim: SimilarityMatrix, dataset: Dataset, topk: int, row_i
     lengths = np.array([frame_length(dataset.by_id[c]) for c in sim.cols], dtype=np.int64)
     n = len(sim.cols)
     k = min(topk, n)
-    index = np.arange(n)
     ranks, topk_sums = np.empty((2, len(gt)), dtype=np.int64)
 
     def score(start, stop, scores):
-        g = gt[start:stop, None]
-        g_score = np.take_along_axis(scores, g, axis=1)
-        ties_before = ((scores == g_score) & (index < g)).sum(axis=1)
-        ranks[start:stop] = 1 + (scores > g_score).sum(axis=1) + ties_before
-        kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
-        above = scores > kth
-        at = scores == kth
-        top = above | (at & (np.cumsum(at, axis=1) <= k - above.sum(axis=1, keepdims=True)))
-        topk_sums[start:stop] = np.where(top, lengths, 0).sum(axis=1)
+        g = gt[start:stop]
+        g_score = np.take_along_axis(scores, g[:, None], axis=1)
+        above = np.count_nonzero(scores > g_score, axis=1)
+        tied = np.count_nonzero(scores >= g_score, axis=1) - above
+        ranks[start:stop] = 1 + above
+        for i in np.flatnonzero(tied > 1).tolist():
+            ranks[start + i] += np.count_nonzero(scores[i, : g[i]] == g_score[i])
+        # the k largest in some order of ties; position n - k holds the k-th largest
+        top = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+        topk_sums[start:stop] = lengths[top].sum(axis=1)
+        kth = np.take_along_axis(scores, top[:, :1], axis=1)
+        for i in np.flatnonzero(np.count_nonzero(scores >= kth, axis=1) > k).tolist():
+            # a tie with the k-th straddles the cut: take the lowest-index ties
+            row, cut = scores[i], kth[i, 0]
+            ties = np.flatnonzero(row == cut)[: k - np.count_nonzero(row > cut)]
+            topk_sums[start + i] = lengths[row > cut].sum() + lengths[ties].sum()
 
     _each_block(values, score)
     ranks, topk_means = ranks.tolist(), (topk_sums / k).tolist()

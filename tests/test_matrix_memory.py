@@ -13,6 +13,7 @@ from framebias.errors import ShapeMismatchError
 from framebias.filtering import sum_similarity_matrices
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix, load_matrix, save_matrix, to_binary
 from framebias.metrics import _BLOCK_SCORES, _block_bounds
+from framebias.simulate import SimConfig, synth_dataset, synth_similarity
 
 from test_rank_kernel import block_order
 
@@ -117,6 +118,15 @@ def test_sum_holds_the_total_and_one_matrix():
     assert np.array_equal(total.values, expected)
     # the running total and the matrix being built; never a second loaded one
     assert peak <= 2.5 * 8 * n * n
+
+
+def test_simulator_builds_its_matrix_in_place():
+    config = SimConfig(num_classes=200, train_per_class=2, test_per_class=10, class_len_spread=600.0, seed=0)
+    dataset = synth_dataset(config)
+    peak, (sim, _) = traced_peak(synth_similarity, dataset, config, dataset)
+    assert sim.values.shape == (2000, 2000)
+    # the matrix, the transposed noise (0.11x here) and one block's scratch
+    assert peak <= 1.2 * sim.values.nbytes
 
 
 def test_blocks_hold_a_bounded_number_of_scores():

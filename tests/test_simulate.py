@@ -1,16 +1,20 @@
+import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from framebias import metrics
 from framebias.audit import global_length_summary
 from framebias.dataset import ActionClass, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
 from framebias.metrics import gt_rank, topk_avg_length
 from framebias.simulate import (
+    _NOISE_STREAM,
     SimConfig,
     _match_components,
     bias_sweep,
@@ -93,6 +97,15 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             SimConfig(num_len_buckets=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["train_len_mean", "test_len_mean", "len_stddev", "class_len_spread", "bias_strength", "noise_stddev"],
+    )
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SimConfig(**{field: value})
+
 
 class TestSynthSimilarity:
     def test_pure_class_signal(self):
@@ -137,11 +150,19 @@ class TestSynthSimilarity:
         cfg = SimConfig(num_classes=4, train_per_class=5, test_per_class=3,
                         noise_stddev=0.0, seed=8, class_len_spread=100)
         ds = synth_dataset(cfg)
-        *_, class_match, bucket_match, _ = _match_components(ds, cfg, ds)
-        lambdas = [0.0, 0.3, 0.6, 1.0]
-        contributions = [lam**2 * bucket_match for lam in lambdas]
+        _, _, qi, qb, cb, _ = _match_components(ds, cfg, ds)
+        class_match, bucket_match = qi[:, None] == qi, qb[:, None] == cb
+        # a length term that matches everywhere or nowhere would say nothing
+        assert bucket_match.any() and not bucket_match.all()
+        contributions = []
+        for lam in [0.0, 0.3, 0.6, 1.0]:
+            sim, _ = synth_similarity(ds, replace(cfg, bias_strength=lam), ds)
+            leakage = sim.values - (1.0 - lam) ** 2 * class_match
+            assert np.allclose(leakage, lam**2 * bucket_match, rtol=0, atol=1e-12)
+            contributions.append(leakage)
         for weaker, stronger in zip(contributions, contributions[1:]):
-            assert np.all(stronger >= weaker)
+            assert np.all(stronger >= weaker - 1e-12)
+            assert np.all(stronger[bucket_match] > weaker[bucket_match])
 
     def test_fallback_class_recorded(self):
         cfg = SimConfig(num_classes=3, train_per_class=4, test_per_class=2, seed=4)
@@ -230,6 +251,54 @@ def test_similarity_matches_broadcast_oracle(config, kind):
     assert prov == expected_prov
     if kind == "drop_class":
         assert prov["fallback_classes"] == [str(ds.classes()[-1])]
+
+
+def n2_similarity(dataset, config, train_reference):
+    """The matrix as built whole: N x N class- and bucket-match matrices, one
+    table lookup over all of them, then each row's noise from two scaled
+    copies of the transposed noise."""
+    test_clips, num_classes, qi, qb, cb, _ = _match_components(dataset, config, train_reference)
+    lam = config.bias_strength
+    a, b = (1.0 - lam) ** 2, lam**2
+    table = np.array([0.0, a, b, a + b])
+    class_match = qi[:, None] == qi[None, :]
+    bucket_match = qb[:, None] == cb[None, :]
+    values = table.take(class_match + 2 * bucket_match.view(np.uint8))
+    if config.noise_stddev > 0:
+        rng = np.random.default_rng([config.seed, _NOISE_STREAM])
+        dim = num_classes + config.num_len_buckets
+        noise_t = rng.normal(0.0, config.noise_stddev, size=(len(test_clips), dim)).T.copy()
+        class_noise, bucket_noise = (1.0 - lam) * noise_t, lam * noise_t
+        for row, c, k in zip(values, qi.tolist(), (qb + num_classes).tolist()):
+            row += class_noise[c]
+            row += bucket_noise[k]
+    return values
+
+
+@given(
+    config=sim_configs,
+    lam=st.sampled_from([0.0, 0.6, 1.0]),
+    kind=st.sampled_from(["own", "drop_class"]),
+    block_scores=st.sampled_from([1, 5, 64, metrics._BLOCK_SCORES]),
+)
+@example(config=SimConfig(num_classes=5, noise_stddev=0.0), lam=0.6, kind="own", block_scores=1)
+@example(config=SimConfig(num_classes=3, len_stddev=0.0, train_len_mean=50.0, test_len_mean=50.0),
+         lam=0.6, kind="own", block_scores=5)
+@example(config=SimConfig(num_classes=5, class_len_spread=300.0), lam=1.0, kind="drop_class", block_scores=64)
+@example(config=SimConfig(num_classes=5, class_len_spread=300.0), lam=0.0, kind="own",
+         block_scores=metrics._BLOCK_SCORES)
+@settings(max_examples=150, deadline=None)
+def test_block_build_matches_whole_matrix_build(config, lam, kind, block_scores):
+    config = replace(config, bias_strength=lam)
+    ds = synth_dataset(config)
+    ref = reference_for(ds, kind)
+    if not ref.split_clips("train"):
+        return
+    expected = n2_similarity(ds, config, ref)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_BLOCK_SCORES", block_scores)  # one row per block up to one block
+        sim, _ = synth_similarity(ds, config, ref)
+    assert np.array_equal(sim.values.view(np.int64), expected.view(np.int64))
 
 
 class TestMechanism:

@@ -8,13 +8,12 @@ untracked ones (the full-argsort fallback), one query per class, and the
 simulator's sort-free per-condition scoring.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framebias import metrics
 from framebias.dataset import ClipRecord, Dataset
 from framebias.errors import DegenerateInputError
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
@@ -231,6 +230,14 @@ def naive_condition(values, lengths, topk, rows):
     return sum(ranks) / len(ranks), sum(r <= 10 for r in ranks) / len(ranks), sum(means) / len(means)
 
 
+def condition_case(values, lengths):
+    ids = tuple(f"c{i:03d}" for i in range(len(lengths)))
+    dataset = Dataset(clips=tuple(
+        ClipRecord(clip, "v", "test", 0, length - 1, "cap", 0, 0) for clip, length in zip(ids, lengths)
+    ))
+    return SimilarityMatrix(rows=ids, cols=ids, values=values), dataset
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 40),
@@ -241,12 +248,50 @@ def naive_condition(values, lengths, topk, rows):
 def test_condition_metrics_on_tie_heavy_matrices(seed, n, topk, subset):
     rng = np.random.default_rng(seed)
     values = tie_heavy(rng, (n, n))
-    ids = tuple(f"c{i:03d}" for i in range(n))
     lengths = rng.integers(1, 200, size=n).tolist()
-    dataset = Dataset(clips=tuple(
-        ClipRecord(clip, "v", "test", 0, length - 1, "cap", 0, 0) for clip, length in zip(ids, lengths)
-    ))
-    sim = SimilarityMatrix(rows=ids, cols=ids, values=values)
+    sim, dataset = condition_case(values, lengths)
     rows = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()) if subset else range(n)
     got = _condition_metrics(sim, dataset, topk, rows if subset else None)
     assert got == naive_condition(values.tolist(), lengths, topk, rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("topk", [2, 3, 6, 9])
+def test_condition_metrics_with_gt_and_cut_ties_in_one_block(monkeypatch, workers, topk):
+    monkeypatch.setattr(metrics, "_WORKERS", workers)
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 12)  # two rows per block
+    # rows 0-1: every score ties, so the GT has lower-index ties and so does the
+    # k-th score; rows 2-3: a GT tie and a cut tie at different scores; rows 4-5
+    # have no tie at the GT, and row 5 none at the cut
+    values = np.array([
+        [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+        [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+        [0.9, 0.1, 0.9, 0.4, 0.4, 0.4],
+        [0.2, 0.9, 0.4, 0.9, 0.4, 0.9],
+        [0.3, 0.3, 0.3, 0.3, 0.8, 0.3],
+        [0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+    ])
+    lengths = [10, 20, 40, 80, 160, 320]
+    sim, dataset = condition_case(values, lengths)
+    assert _condition_metrics(sim, dataset, topk) == naive_condition(values.tolist(), lengths, topk, range(6))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    extra=st.integers(-29, 5),
+    workers=st.sampled_from([1, 2]),
+    block_scores=st.sampled_from([1, 7, 40]),
+)
+@settings(max_examples=150, deadline=None)
+def test_condition_metrics_on_small_blocks_and_threads(seed, n, extra, workers, block_scores):
+    rng = np.random.default_rng(seed)
+    values = rng.choice([0.0, 0.5, 1.0], size=(n, n))
+    lengths = rng.integers(1, 200, size=n).tolist()
+    topk = max(1, n + extra)  # from 1 up to past n
+    sim, dataset = condition_case(values, lengths)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_WORKERS", workers)
+        patch.setattr(metrics, "_BLOCK_SCORES", block_scores)
+        got = _condition_metrics(sim, dataset, topk)
+    assert got == naive_condition(values.tolist(), lengths, topk, range(n))
