@@ -113,18 +113,12 @@ def length_histogram(
     return LengthHistogram(bin_width=bin_width, bins=bins)
 
 
-def discrepancy_table(stats: list[ClassStats], min_count: int = 1) -> list[ClassStats]:
-    """The entries of ``stats`` (as from class_stats) ranked by discrepancy,
-    largest first; ties keep their order in ``stats``.
-
-    Only classes with train_count >= min_count, test_count >= 1, and a
-    defined discrepancy are listed.
+def discrepancy_table(stats: list[ClassStats]) -> list[ClassStats]:
+    """The entries of ``stats`` (as from class_stats) with a defined
+    discrepancy (both splits populated), ranked by it, largest first; ties
+    keep their order in ``stats``.
     """
-    rows = [
-        s
-        for s in stats
-        if s.discrepancy is not None and s.train_count >= min_count and s.test_count >= 1
-    ]
+    rows = [s for s in stats if s.discrepancy is not None]
     rows.sort(key=lambda s: -s.discrepancy)  # stable: ties keep input order
     return rows
 

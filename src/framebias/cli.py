@@ -184,8 +184,6 @@ def cmd_simulate(args) -> int:
     alphas = _parse_list(args.alphas, _finite_float)
     _check_distinct_tags("seed", seeds, "d")
     _check_distinct_tags("alpha", alphas, "g")
-    if args.topk < 1:
-        raise ValueError(f"topk must be >= 1, got {args.topk}")
     out_dir = Path(args.out_dir)
 
     def emit(seed, alpha, dataset, reference, sim):

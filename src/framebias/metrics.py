@@ -5,9 +5,12 @@ ties broken by ascending gallery index. Degenerate queries (for nDCG an ideal
 DCG that is not positive, for AP nothing relevant at the threshold) are
 excluded from averages and counted in the report. Aggregate means sum in
 ascending query order, so results do not depend on evaluation schedule.
-Every metric ranks through one blocked kernel, by position: a query is scored
-from where its tracked columns land (nonzero relevance, relevance at the AP
-threshold, its GT column) in its sorted row, so no full ranking is built.
+``ranking`` is the one definition of that order. The block kernels build no
+full ranking: eval scores a query from where its tracked columns (nonzero
+relevance, relevance at the AP threshold, its GT column) land in its sorted
+row (``positions``), and a GT rank or a top k is a compare count or a partial
+partition (``gt_ranks``, ``top_k``). Each kernel resolves tie-free rows itself
+and hands a row with a tie it cannot order to ``ranking``.
 Blocks of queries are scored on a few threads; each writes only its own
 queries' results, so they do not depend on the thread count.
 """
@@ -24,6 +27,7 @@ from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchE
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 
 DIRECTIONS = ("t2v", "v2t", "avg")
+RECALL_KS = (1, 5, 10)  # cutoffs of each direction's recall
 _BLOCK_SCORES = 1 << 17  # scores ranked at once: a block's scratch arrays stay small
 # threads that score blocks at once: the usable CPUs, at most four
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -103,10 +107,33 @@ def positions(scores: np.ndarray, tracked: np.ndarray):
     for i in np.unique(row[last & (ranks < n) & ((after == here) | np.isnan(here))]).tolist():
         lo, hi = bounds[i], bounds[i + 1]
         rank_of = np.empty(n, dtype=np.int64)
-        rank_of[np.argsort(-scores[i], kind="stable")] = np.arange(1, n + 1)
+        rank_of[ranking(scores[i])] = np.arange(1, n + 1)
         ranks[lo:hi] = rank_of[col[lo:hi]]
         right[lo:hi] = ordered[i].searchsorted(here[lo:hi], "right")
     return row, col, ranks, left, right
+
+
+def gt_ranks(scores: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Stable 1-based rank of column ``gt[i]`` in each row ``i`` of a block:
+    1 + the scores above it, or its place in ``ranking`` where its score
+    occurs more than once in the row."""
+    at = np.take_along_axis(scores, gt[:, None], axis=1)
+    ranks = 1 + np.count_nonzero(scores > at, axis=1)
+    for i in np.flatnonzero(np.count_nonzero(scores == at, axis=1) > 1).tolist():
+        ranks[i] = 1 + np.flatnonzero(ranking(scores[i]) == gt[i])[0]
+    return ranks
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's k best scores (``1 <= k <= n``), in no order: a
+    partial partition, or ``ranking(row)[:k]`` where a tie with the k-th
+    score straddles the cut."""
+    n = scores.shape[1]
+    top = np.argpartition(scores, n - k, axis=1)[:, n - k :]  # top[:, 0] holds the k-th best
+    kth = np.take_along_axis(scores, top[:, :1], axis=1)
+    for i in np.flatnonzero(np.count_nonzero(scores >= kth, axis=1) > k).tolist():
+        top[i] = ranking(scores[i])[:k]
+    return top
 
 
 def ranking(scores) -> np.ndarray:
@@ -143,8 +170,7 @@ def gt_rank(sim: SimilarityMatrix, query_index: int, gt_gallery_id: str) -> int:
     """1-based rank of the ground-truth gallery item for one query."""
     if gt_gallery_id not in sim.col_index:
         raise NotFoundError(f"gallery id {gt_gallery_id!r} not present in matrix columns")
-    tracked = np.arange(len(sim.cols)) == sim.col_index[gt_gallery_id]
-    return int(positions(sim.values[[query_index]], tracked[None, :])[2][0])
+    return int(gt_ranks(sim.values[[query_index]], np.array([sim.col_index[gt_gallery_id]]))[0])
 
 
 def recall_at_k(ranks, k: int) -> float:
@@ -279,8 +305,8 @@ def topk_avg_length(sim: SimilarityMatrix, dataset: Dataset, query_index: int, k
     """Mean frame length of the k best-ranked gallery clips for one query."""
     if not 1 <= k <= len(sim.cols):
         raise ValueError(f"k must be in [1, {len(sim.cols)}], got {k}")
-    order = ranking(sim.values[query_index])[:k]
-    return sum(frame_length(_gallery_clip(sim, dataset, j)) for j in order) / k
+    top = top_k(sim.values[[query_index]], k)[0]
+    return sum(frame_length(_gallery_clip(sim, dataset, j)) for j in top) / k
 
 
 @dataclass(frozen=True)
@@ -336,12 +362,12 @@ class MetricsReport:
     avg_map: float
 
 
-def _direction_metrics(ndcg, ap, gt_ranks, has_gt, recall_ks) -> DirectionMetrics:
-    ranks, ranks_opt, ranks_pes = (r[has_gt].tolist() for r in gt_ranks)
+def _direction_metrics(ndcg, ap, all_ranks, has_gt) -> DirectionMetrics:
+    ranks, ranks_opt, ranks_pes = (r[has_gt].tolist() for r in all_ranks)
     return DirectionMetrics(
         ndcg=_mean(ndcg, 0),
         map=_mean(ap, 1),
-        recall={k: recall_at_k(ranks, k) for k in recall_ks} if ranks else {},
+        recall={k: recall_at_k(ranks, k) for k in RECALL_KS} if ranks else {},
         mean_rank=sum(ranks) / len(ranks) if ranks else None,
         median_rank=float(np.median(ranks)) if ranks else None,
         mean_rank_optimistic=sum(ranks_opt) / len(ranks_opt) if ranks_opt else None,
@@ -354,13 +380,7 @@ def _direction_metrics(ndcg, ap, gt_ranks, has_gt, recall_ks) -> DirectionMetric
     )
 
 
-def metrics_report(
-    sim: SimilarityMatrix,
-    dataset: Dataset,
-    threshold: float = 1.0,
-    depth: int | None = None,
-    recall_ks=(1, 5, 10),
-) -> MetricsReport:
+def metrics_report(sim: SimilarityMatrix, dataset: Dataset, threshold: float = 1.0, depth: int | None = None) -> MetricsReport:
     """Full two-direction evaluation of a similarity matrix against a dataset.
 
     Relevance comes from the clips' action classes; the ground-truth gallery
@@ -380,6 +400,6 @@ def metrics_report(
     ):
         gt = np.array([gallery.get(q, -1) for q in queries])
         scan = _scan(values, (*query_codes, *gallery_codes), threshold, depth, np.maximum(gt, 0))
-        directions.append(_direction_metrics(*scan, gt >= 0, recall_ks))
+        directions.append(_direction_metrics(*scan, gt >= 0))
     t2v, v2t = directions
     return MetricsReport(t2v, v2t, 0.5 * (t2v.ndcg + v2t.ndcg), 0.5 * (t2v.map + v2t.map))

@@ -24,6 +24,7 @@ reproducibility.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from framebias._numpy import np
@@ -32,7 +33,7 @@ from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
 from framebias.matrices import SimilarityMatrix
-from framebias.metrics import _block_bounds, _each_block, recall_at_k
+from framebias.metrics import _block_bounds, _each_block, gt_ranks, recall_at_k, top_k
 
 GENERATOR_ID = "numpy-default-rng-pcg64"
 _NOISE_STREAM = 0x6E6F6973  # keeps clip noise independent of the length draws
@@ -64,14 +65,18 @@ class SimConfig:
         for name in ("train_len_mean", "test_len_mean", "len_stddev", "class_len_spread", "bias_strength", "noise_stddev"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.num_classes < 1 or self.train_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("num_classes, train_per_class, test_per_class must all be >= 1")
+        for name in ("num_classes", "train_per_class", "test_per_class", "num_len_buckets", "seed"):
+            value, low = getattr(self, name), 0 if name == "seed" else 1
+            try:
+                valid = operator.index(value) >= low  # numpy integers pass, floats do not
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0.0 <= self.bias_strength <= 1.0:
             raise ValueError(f"bias_strength must lie in [0, 1], got {self.bias_strength}")
         if self.len_stddev < 0 or self.noise_stddev < 0:
             raise ValueError("stddevs must be >= 0")
-        if self.num_len_buckets < 1:
-            raise ValueError(f"num_len_buckets must be >= 1, got {self.num_len_buckets}")
         if self.class_len_spread < 0:
             raise ValueError(f"class_len_spread must be >= 0, got {self.class_len_spread}")
 
@@ -235,37 +240,19 @@ class SweepRow:
 def _condition_metrics(sim: SimilarityMatrix, dataset: Dataset, topk: int, row_indices=None):
     """Mean GT rank, recall@10 and mean top-k gallery length over the queries.
 
-    A query's ground truth is the gallery clip with its own id; its rank is
-    1 + (scores above it) + (equal scores at a lower index). The top k are
-    the scores above the k-th largest plus the lowest-index ties with it, so
-    no row is sorted; a query's top-k length is an integer sum over k. Ties
-    are resolved per row, only in rows that have them.
+    A query's ground truth is the gallery clip with its own id; its top-k
+    length is an integer sum over k.
     """
     rows = range(len(sim.rows)) if row_indices is None else list(row_indices)
     values = sim.values if row_indices is None else sim.values[rows]
     gt = np.array([sim.col_index[sim.rows[i]] for i in rows], dtype=np.int64)
     lengths = np.array([frame_length(dataset.by_id[c]) for c in sim.cols], dtype=np.int64)
-    n = len(sim.cols)
-    k = min(topk, n)
+    k = min(topk, len(sim.cols))
     ranks, topk_sums = np.empty((2, len(gt)), dtype=np.int64)
 
     def score(start, stop, scores):
-        g = gt[start:stop]
-        g_score = np.take_along_axis(scores, g[:, None], axis=1)
-        above = np.count_nonzero(scores > g_score, axis=1)
-        tied = np.count_nonzero(scores >= g_score, axis=1) - above
-        ranks[start:stop] = 1 + above
-        for i in np.flatnonzero(tied > 1).tolist():
-            ranks[start + i] += np.count_nonzero(scores[i, : g[i]] == g_score[i])
-        # the k largest in some order of ties; position n - k holds the k-th largest
-        top = np.argpartition(scores, n - k, axis=1)[:, n - k :]
-        topk_sums[start:stop] = lengths[top].sum(axis=1)
-        kth = np.take_along_axis(scores, top[:, :1], axis=1)
-        for i in np.flatnonzero(np.count_nonzero(scores >= kth, axis=1) > k).tolist():
-            # a tie with the k-th straddles the cut: take the lowest-index ties
-            row, cut = scores[i], kth[i, 0]
-            ties = np.flatnonzero(row == cut)[: k - np.count_nonzero(row > cut)]
-            topk_sums[start + i] = lengths[row > cut].sum() + lengths[ties].sum()
+        ranks[start:stop] = gt_ranks(scores, gt[start:stop])
+        topk_sums[start:stop] = lengths[top_k(scores, k)].sum(axis=1)
 
     _each_block(values, score)
     ranks, topk_means = ranks.tolist(), (topk_sums / k).tolist()
@@ -289,6 +276,7 @@ def bias_sweep(
         raise ValueError("alphas and seeds must be non-empty")
     if topk < 1:
         raise ValueError(f"topk must be >= 1, got {topk}")
+    configs = [replace(config, seed=seed) for seed in seeds]
     filters = [FilterConfig(alpha=alpha, min_class_size=min_class_size) for alpha in alphas]
 
     def condition(cfg, dataset, alpha, reference):
@@ -299,14 +287,13 @@ def bias_sweep(
         return _condition_metrics(sim, dataset, topk)
 
     rows = []
-    for seed in seeds:
-        cfg = replace(config, seed=seed)
+    for cfg in configs:
         dataset = synth_dataset(cfg)
-        rows.append(SweepRow(seed, None, 0, 0, *condition(cfg, dataset, None, dataset)))
+        rows.append(SweepRow(cfg.seed, None, 0, 0, *condition(cfg, dataset, None, dataset)))
         for alpha, filter_config in zip(alphas, filters):
             filtered, report = filter_margin(dataset, filter_config)
             scores = condition(cfg, dataset, alpha, filtered)
-            rows.append(SweepRow(seed, alpha, report.removed_count, report.classes_touched, *scores))
+            rows.append(SweepRow(cfg.seed, alpha, report.removed_count, report.classes_touched, *scores))
     return rows
 
 

@@ -127,10 +127,8 @@ def test_discrepancy_table_order_and_min_count():
             (4, 4): ([7, 7, 7], [7]),         # disc 0
         }
     )
-    table = discrepancy_table(class_stats(ds), min_count=1)
+    table = discrepancy_table(class_stats(ds))
     assert [s.action_class for s in table] == [ActionClass(2, 2), ActionClass(1, 1), ActionClass(4, 4)]
-    table2 = discrepancy_table(class_stats(ds), min_count=2)
-    assert [s.action_class for s in table2] == [ActionClass(1, 1), ActionClass(4, 4)]
 
 
 def test_discrepancy_table_tie_break_by_class():

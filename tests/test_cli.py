@@ -347,6 +347,16 @@ def test_simulate_rejects_sweep_arguments_before_writing(workspace, capsys, flag
     assert list((workspace / "out").iterdir()) == []  # not even the --out-dir
 
 
+def test_simulate_rejects_a_negative_seed_before_writing(workspace, capsys):
+    argv = [
+        "simulate", "--classes", "4", "--train-per-class", "12", "--test-per-class", "2",
+        "--seeds", "0,-1", "--alphas", "20", "--out-dir", "out/sim",
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["framebias simulate: error: seed must be an integer >= 0, got -1"]
+    assert not (workspace / "out/sim").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
 def test_non_finite_float_flags_rejected(workspace, capsys, value):
     argv = [

@@ -97,6 +97,23 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             SimConfig(num_len_buckets=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *((field, 2.5) for field in ("num_classes", "train_per_class", "test_per_class", "num_len_buckets", "seed")),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("num_classes", "3"),
+        ],
+    )
+    def test_integer_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= [01], got {value!r}$"):
+            SimConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(num_classes=np.int64(3), num_len_buckets=np.int32(4), seed=np.uint8(7))
+        assert synth_dataset(cfg) == synth_dataset(SimConfig(num_classes=3, num_len_buckets=4, seed=7))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "field",
@@ -377,6 +394,15 @@ class TestSweep:
         calls = []
         with pytest.raises(ValueError, match="alpha|min_class_size"):
             bias_sweep(cfg, alphas=alphas, seeds=[0], min_class_size=min_class_size,
+                       on_condition=lambda *args: calls.append(args))
+        assert calls == []
+
+    @pytest.mark.parametrize("seeds", [[0, -1], [0, 1.5]])
+    def test_bad_seed_rejected_before_any_condition(self, seeds):
+        cfg = SimConfig(num_classes=3, train_per_class=6, test_per_class=2, seed=0)
+        calls = []
+        with pytest.raises(ValueError, match="^seed must be"):
+            bias_sweep(cfg, alphas=[5.0], seeds=seeds, min_class_size=2,
                        on_condition=lambda *args: calls.append(args))
         assert calls == []
 
