@@ -22,7 +22,7 @@ from framebias.audit import (
     histogram_csv,
     length_histogram,
 )
-from framebias.dataset import ActionClass, load_annotations, to_native_csv
+from framebias.dataset import ActionClass, load_annotations, write_native_csv
 from framebias.errors import FrameBiasError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class, sum_similarity_matrices
 from framebias.matrices import load_matrix, save_matrix
@@ -115,7 +115,7 @@ def cmd_filter(args) -> int:
         dataset, FilterConfig(alpha=args.alpha, min_class_size=args.min_class_size)
     )
     with open_atomic(args.out) as fh:
-        fh.write(to_native_csv(filtered))
+        write_native_csv(filtered, fh)
     payload = {
         "filter": {"kind": "margin", "alpha": args.alpha, "min_class_size": args.min_class_size},
         **filter_report_dict(report),
@@ -130,7 +130,7 @@ def cmd_filter_one(args) -> int:
     mode = "remove_long" if args.mode == "long" else "remove_short"
     filtered, report = filter_single_class(dataset, action_class, mode, args.fraction)
     with open_atomic(args.out) as fh:
-        fh.write(to_native_csv(filtered))
+        write_native_csv(filtered, fh)
     payload = {
         "filter": {
             "kind": "single_class",
@@ -191,7 +191,7 @@ def cmd_simulate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         tag = f"seed{seed}" if alpha is None else f"seed{seed}_alpha{alpha:g}"
         with open_atomic(out_dir / f"annotations_{tag}.csv") as fh:
-            fh.write(to_native_csv(reference))
+            write_native_csv(reference, fh)
         save_matrix(sim, out_dir / f"sim_{tag}{'_baseline' if alpha is None else ''}.simm")
 
     rows = bias_sweep(

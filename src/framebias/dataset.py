@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
@@ -137,6 +138,16 @@ class Dataset:
         object.__setattr__(self, "by_id", by_id)
         object.__setattr__(self, "index", build_class_index(self.clips))
 
+    @classmethod
+    def _of(cls, by_id: dict[str, ClipRecord]) -> Dataset:
+        """The dataset of ``by_id``'s clips in its order, which keeps
+        ``by_id`` (each clip under its own id) as its id map."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "clips", tuple(by_id.values()))
+        object.__setattr__(dataset, "by_id", by_id)
+        object.__setattr__(dataset, "index", build_class_index(dataset.clips))
+        return dataset
+
     def __len__(self) -> int:
         return len(self.clips)
 
@@ -171,34 +182,36 @@ def _int_field(value: str, name: str) -> int:
     raise AnnotationParseError(f"field {name!r} must be an integer, got {value!r}")
 
 
-def _parse_rows(text: str, columns: tuple[str, ...], split: str | None, label: str, seen: set[str]) -> list[ClipRecord]:
-    """Clips of one CSV file; ``columns`` name the ClipRecord fields other than
-    split, in field order. ``split=None`` reads the split per row and requires
-    the native header; a fixed split takes any header holding ``columns``.
-    ``seen`` holds the clip ids read so far and gains this file's. Every error
-    is prefixed with ``label`` and the line number."""
-    if not text:
-        raise AnnotationParseError(f"{label}empty annotation file")
-    reader = csv.reader(io.StringIO(text))
-    clips = []
+def _parse_rows(lines, columns: tuple[str, ...], split: str | None, label: str, by_id: dict, shared: dict) -> None:
+    """Add the clips of one CSV file, read from ``lines`` (an open text file
+    or any iterable of lines), to ``by_id``, which maps the ids of the clips
+    read so far to the clips. ``columns`` name the ClipRecord fields other
+    than split, in field order. ``split=None`` reads the split per row and
+    requires the native header; a fixed split takes any header holding
+    ``columns``. ``shared`` maps each split, video id and caption read so far
+    to the one string that every clip holding it keeps. Every error is
+    prefixed with ``label`` and the line number."""
+    reader = csv.reader(lines)
     try:
-        header = next(reader, [])
+        header = next(reader, None)
+        if header is None:
+            raise AnnotationParseError("empty annotation file")
         if split is None and tuple(header) != NATIVE_COLUMNS:
             raise AnnotationParseError(f"expected header {','.join(NATIVE_COLUMNS)}, got {','.join(header)}")
         for name in columns:
             if name not in header:
                 raise AnnotationParseError(f"missing required column {name!r}")
         pick = itemgetter(*(header.index(name) for name in columns))
+        share = shared.setdefault
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise AnnotationParseError(f"expected {len(header)} fields, got {len(row)}")
             clip_id, video_id, start, stop, caption, verb, noun = pick(row)
-            if clip_id in seen:
+            if clip_id in by_id:
                 raise ValidationError(f"duplicate clip_id {clip_id!r}")
-            seen.add(clip_id)
-            row_split = split or row[_SPLIT_AT]
+            row_split = split or share(row[_SPLIT_AT], row[_SPLIT_AT])
             if row_split not in SPLITS:
                 raise AnnotationParseError(f"split must be train or test, got {row_split!r}")
             try:
@@ -209,59 +222,96 @@ def _parse_rows(text: str, columns: tuple[str, ...], split: str | None, label: s
                     raise ValueError
             except ValueError:  # name the first bad field
                 start_i, stop_i, verb_i, noun_i = map(_int_field, (start, stop, verb, noun), _INT_FIELDS)
-            clips.append(ClipRecord(clip_id, video_id, row_split, start_i, stop_i, caption, verb_i, noun_i))
+            by_id[clip_id] = ClipRecord(
+                clip_id, share(video_id, video_id), row_split, start_i, stop_i, share(caption, caption), verb_i, noun_i
+            )
     except (csv.Error, AnnotationParseError, ValidationError) as err:
         kind = ValidationError if isinstance(err, ValidationError) else AnnotationParseError
-        raise kind(f"{label}line {reader.line_num}: {err}") from None
-    return clips
+        where = f"line {reader.line_num}: " if reader.line_num else ""  # no line read: the file is empty
+        raise kind(f"{label}{where}{err}") from None
 
 
 def parse_annotations(source, fmt: str = "native") -> Dataset:
     """Parse annotation file content into a Dataset.
 
-    ``fmt="native"`` takes one file's text (split column per row).
-    ``fmt="ek100_pair"`` takes a (train_text, test_text) pair of EK-100
-    style files; split is assigned by which file a row came from, and
-    columns beyond the required ones are ignored.
+    ``fmt="native"`` takes one file's content (split column per row).
+    ``fmt="ek100_pair"`` takes a (train, test) pair of EK-100 style files;
+    split is assigned by which file a row came from, and columns beyond the
+    required ones are ignored. A file's content is its text, or an open text
+    file (any iterable of lines), which is read row by row. Equal split,
+    video id and caption strings are kept once, shared by every clip.
     """
+    by_id: dict[str, ClipRecord] = {}
+    shared = {split: split for split in SPLITS}
     if fmt == "native":
-        if not isinstance(source, str):
-            raise ValueError("native format expects a single file's text content")
-        clips = _parse_rows(source, _NATIVE_FIELDS, None, "", set())
+        _parse_rows(_lines(source), _NATIVE_FIELDS, None, "", by_id, shared)
     elif fmt == "ek100_pair":
         try:
-            train_text, test_text = source
+            train, test = source
         except (TypeError, ValueError):
             raise ValueError("ek100_pair format expects (train_text, test_text)") from None
-        seen: set[str] = set()
-        clips = _parse_rows(train_text, EK100_COLUMNS, "train", "train file, ", seen)
-        clips += _parse_rows(test_text, EK100_COLUMNS, "test", "test file, ", seen)
+        _parse_rows(_lines(train), EK100_COLUMNS, SPLITS[0], "train file, ", by_id, shared)
+        _parse_rows(_lines(test), EK100_COLUMNS, SPLITS[1], "test file, ", by_id, shared)
     else:
         raise ValueError(f"unknown annotation format {fmt!r}")
-    return Dataset(clips=tuple(clips))
+    return Dataset._of(by_id)
+
+
+def _lines(content):
+    """Lines of a file's text, or of an open text file, split only at ``\\n``."""
+    return io.StringIO(content) if isinstance(content, str) else content
+
+
+_PATH_COUNTS = {"native": 1, "ek100_pair": 2}
 
 
 def load_annotations(paths, fmt: str = "native") -> Dataset:
     """Read one path (native) or a (train, test) path pair (ek100_pair) and
-    parse it; every parse or validation error names the file(s)."""
+    parse it row by row; every parse or validation error names the file(s)."""
     paths = [paths] if isinstance(paths, (str, os.PathLike)) else list(paths)
-    texts = []
-    for path in paths:
-        try:
-            with open(path, encoding="utf-8", newline="") as fh:
-                texts.append(fh.read())
-        except UnicodeDecodeError as err:
-            raise AnnotationParseError(f"{path}: not UTF-8 text (byte {err.start})") from None
+    if fmt not in _PATH_COUNTS:
+        raise ValueError(f"unknown annotation format {fmt!r}")
+    if len(paths) != _PATH_COUNTS[fmt]:
+        raise ValueError(f"{fmt} format takes {_PATH_COUNTS[fmt]} annotation path(s), got {len(paths)}")
     try:
-        return parse_annotations(texts[0] if len(texts) == 1 else tuple(texts), fmt)
+        with ExitStack() as stack:
+            # newline="\n" splits lines at "\n" alone, as StringIO(text) does
+            files = [stack.enter_context(open(path, encoding="utf-8", newline="\n")) for path in paths]
+            return parse_annotations(files[0] if fmt == "native" else tuple(files), fmt)
+    except UnicodeDecodeError:
+        # the decoder's offset is relative to its chunk: find the byte in the files
+        for path in paths:
+            at = bad_utf8_byte(path)
+            if at is not None:
+                raise AnnotationParseError(f"{path}: not UTF-8 text (byte {at})") from None
+        raise AnnotationParseError(f"{', '.join(map(str, paths))}: not UTF-8 text") from None
     except (AnnotationParseError, ValidationError) as err:
         raise type(err)(f"{', '.join(map(str, paths))}: {err}") from None
+
+
+def bad_utf8_byte(path) -> int | None:
+    """Offset of the first byte of ``path`` that is not UTF-8, from a second
+    read of the file; None if it decodes or is not a regular file (a pipe
+    cannot be read twice)."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        try:
+            fh.read().decode("utf-8")
+        except UnicodeDecodeError as err:
+            return err.start
+    return None
+
+
+def write_native_csv(dataset: Dataset, fh) -> None:
+    """Write the native format to an open text file, row by row."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(NATIVE_COLUMNS)
+    writer.writerows(dataset.clips)
 
 
 def to_native_csv(dataset: Dataset) -> str:
     """Serialize to the native format; re-parsing yields an equal Dataset."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(NATIVE_COLUMNS)
-    writer.writerows(dataset.clips)
+    write_native_csv(dataset, buf)
     return buf.getvalue()

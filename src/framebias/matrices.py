@@ -9,11 +9,13 @@ Two interchangeable serializations:
   (rows, then cols; each list is a u32 count followed by u32-length-
   prefixed ids).
 
-A SIMM file is decoded from a binary file object: the header first, then the
-values read straight into the array the matrix keeps, then the id lists. It is
-written the same way, streaming the values buffer. A matrix keeps the array it
-is handed when that array is float64, C-contiguous and owns its data, and
-marks it read-only; any other input (a view, another dtype, a list) is copied.
+A text matrix is read row by row, from a pipe too, into an array that grows
+as rows arrive. A SIMM file is decoded from a seekable binary file object:
+the header first, then the values read straight into the array the matrix
+keeps, then the id lists. It is written the same way, streaming the values
+buffer. A matrix keeps the array it is handed when that array is float64,
+C-contiguous and owns its data, and marks it read-only; any other input (a
+view, another dtype, a list) is copied.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 
 from framebias._numpy import np
 from framebias.atomic import open_atomic
+from framebias.dataset import _lines, bad_utf8_byte
 from framebias.errors import AnnotationParseError, FrameBiasError, ShapeMismatchError
 
 MAGIC = b"SIMM"
@@ -115,26 +118,33 @@ def to_text(matrix: SimilarityMatrix) -> str:
     return buf.getvalue()
 
 
-def from_text(text: str) -> SimilarityMatrix:
-    if not text:
-        raise AnnotationParseError("empty matrix file")
-    reader = csv.reader(io.StringIO(text))
+def from_text(text) -> SimilarityMatrix:
+    """Parse the text format from its text, or row by row from an open text
+    file (any iterable of lines). The values go straight into an array that
+    grows by doubling and is trimmed in place, so the matrix keeps it."""
+    reader = csv.reader(_lines(text))
     rows = []
-    data = []
     try:
-        cols = tuple(next(reader, [])[1:])
+        header = next(reader, None)
+        if header is None:
+            raise AnnotationParseError("empty matrix file")
+        cols = tuple(header[1:])
+        values = np.empty((1, len(cols)))
         for rec in reader:
             if not rec:
                 continue
             if len(rec) != len(cols) + 1:
                 raise AnnotationParseError(f"expected {len(cols) + 1} fields, got {len(rec)}")
+            if len(rows) == len(values):
+                values.resize((2 * len(values), len(cols)), refcheck=False)
+            values[len(rows)] = [float(v) for v in rec[1:]]
             rows.append(rec[0])
-            data.append([float(v) for v in rec[1:]])
     except ValueError:
         raise AnnotationParseError(f"matrix line {reader.line_num}: non-numeric value") from None
     except (csv.Error, AnnotationParseError) as err:
-        raise AnnotationParseError(f"matrix line {reader.line_num}: {err}") from None
-    values = np.array(data, dtype=np.float64) if data else np.empty((0, len(cols)))
+        where = f"matrix line {reader.line_num}: " if reader.line_num else ""  # no line read: the file is empty
+        raise AnnotationParseError(f"{where}{err}") from None
+    values.resize((len(rows), len(cols)), refcheck=False)
     return SimilarityMatrix(rows=tuple(rows), cols=cols, values=values)
 
 
@@ -240,17 +250,22 @@ def save_matrix(matrix: SimilarityMatrix, path) -> None:
 
 
 def load_matrix(path) -> SimilarityMatrix:
-    """Read either format, sniffing the SIMM magic bytes."""
+    """Read either format, sniffing the SIMM magic bytes without a seek, so a
+    text matrix may come from a pipe; a SIMM file must be seekable."""
     try:
         with open(path, "rb") as fh:
-            if fh.read(4) == MAGIC:
+            if fh.peek(4)[:4] == MAGIC:
+                if not fh.seekable():
+                    raise AnnotationParseError("a SIMM matrix cannot be read from a pipe: its length is needed first")
                 return _read_simm(fh)
-            fh.seek(0)
-            raw = fh.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise AnnotationParseError(f"neither a SIMM file nor UTF-8 text (byte {err.start})") from None
-        return from_text(text)
+            try:
+                # newline="\n" splits lines at "\n" alone, as StringIO(text) does
+                with io.TextIOWrapper(fh, encoding="utf-8", newline="\n") as text:
+                    return from_text(text)
+            except UnicodeDecodeError:
+                at = bad_utf8_byte(path)
+                raise AnnotationParseError(
+                    "neither a SIMM file nor UTF-8 text" + ("" if at is None else f" (byte {at})")
+                ) from None
     except FrameBiasError as err:
         raise type(err)(f"{path}: {err}") from None

@@ -39,28 +39,40 @@ def _block_bounds(values: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _each_block(values: np.ndarray, score) -> None:
-    """Call ``score(start, stop, scores)`` on each block of query rows, on up
-    to ``_WORKERS`` threads, this one included.
+    """Call ``score(start, stop, scores, scratch)`` on each block of query
+    rows, on up to ``_WORKERS`` threads, this one included.
 
-    A block holds about ``_BLOCK_SCORES`` scores (at least one row), copied
-    out of ``values`` contiguous only when a thread takes it: at most one
-    block per thread is alive, and for v2t ``matrix.values.T`` is passed with
-    no transposed matrix ever made. After an error no further block starts,
-    and the lowest failing block's error is raised, as a serial loop raises it.
+    A block holds about ``_BLOCK_SCORES`` scores (at least one row). It is a
+    view of ``values`` where its rows are contiguous, and otherwise (for v2t,
+    ``matrix.values.T``, so no transposed matrix is ever made) a copy in a
+    buffer that the thread reuses for each block it takes; ``scratch`` is a
+    second such buffer of the block's shape, free for the callback to
+    overwrite. Both are valid only during the call. After an error no further
+    block starts, and the lowest failing block's error is raised, as a serial
+    loop raises it.
     """
     bounds = _block_bounds(values)
     pending = iter(bounds)
     lock = threading.Lock()
     errors = {}
+    shape = (bounds[0][1] - bounds[0][0] if bounds else 0, values.shape[1])
 
     def work():
+        # allocated once per thread: fresh block-sized temporaries can each
+        # cost a new mmap and its page faults
+        copy = None if values.flags.c_contiguous else np.empty(shape, values.dtype)
+        scratch = np.empty(shape, values.dtype)
         while not errors:
             with lock:
                 start, stop = next(pending, (None, None))
             if start is None:
                 return
             try:
-                score(start, stop, np.ascontiguousarray(values[start:stop]))
+                scores = values[start:stop]
+                if not scores.flags.c_contiguous:
+                    scores = copy[: stop - start]
+                    np.copyto(scores, values[start:stop])
+                score(start, stop, scores, scratch[: stop - start])
             except BaseException as error:
                 errors[start] = error
 
@@ -74,7 +86,7 @@ def _each_block(values: np.ndarray, score) -> None:
         raise errors[min(errors)]
 
 
-def positions(scores: np.ndarray, tracked: np.ndarray):
+def positions(scores: np.ndarray, tracked: np.ndarray, out: np.ndarray | None = None):
     """Stable 1-based ranks of the tracked scores of a block of rows.
 
     Returns ``(row, col, ranks, left, right)``, one entry per tracked score,
@@ -83,12 +95,13 @@ def positions(scores: np.ndarray, tracked: np.ndarray):
     Only the rows' values are sorted: each tracked score is searched in its
     sorted row, and equal tracked scores are ranked by column. A row where a
     tracked score ties an untracked one is ranked by its full stable argsort.
+    The sorted rows are written into ``out`` (of the block's shape) if given.
     """
     nb, n = scores.shape
     flat = np.flatnonzero(tracked)  # row-major: columns ascend within a row
     bounds = np.searchsorted(flat, np.arange(0, nb * n + 1, n)).tolist()
     keys = -scores.ravel()[flat]
-    ordered = np.negative(scores)
+    ordered = np.negative(scores, out=out)
     ordered.sort(axis=1)
     left = np.empty(flat.size, dtype=np.int64)
     for values, lo, hi in zip(ordered, bounds, bounds[1:]):
@@ -205,7 +218,7 @@ def _scan(values, relevance, threshold=1.0, depth=None, gt=None):
     codes = isinstance(relevance, tuple)
     scale = 0.5 if codes else 1.0  # class relevance counts matching components
 
-    def score(start, stop, scores):
+    def score(start, stop, scores, scratch):
         nb = stop - start
         if codes:
             qv, qn, gv, gn = relevance
@@ -215,7 +228,7 @@ def _scan(values, relevance, threshold=1.0, depth=None, gt=None):
         tracked = (rel != 0) | (rel >= threshold / scale)
         if gt is not None:
             tracked[np.arange(nb), gt[start:stop]] = True
-        row, col, rank, left, right = positions(scores, tracked)
+        row, col, rank, left, right = positions(scores, tracked, scratch)
         gains = scale * rel[row, col]
         if codes:
             positive = np.bincount(row[gains > 0], minlength=nb)

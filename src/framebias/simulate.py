@@ -250,7 +250,7 @@ def _condition_metrics(sim: SimilarityMatrix, dataset: Dataset, topk: int, row_i
     k = min(topk, len(sim.cols))
     ranks, topk_sums = np.empty((2, len(gt)), dtype=np.int64)
 
-    def score(start, stop, scores):
+    def score(start, stop, scores, _scratch):
         ranks[start:stop] = gt_ranks(scores, gt[start:stop])
         topk_sums[start:stop] = lengths[top_k(scores, k)].sum(axis=1)
 

@@ -98,7 +98,7 @@ def test_every_block_is_scored_once_under_frequent_switches(monkeypatch):
     values = np.arange(600.0).reshape(300, 2)
     scored = []
 
-    def score(start, stop, scores):
+    def score(start, stop, scores, scratch):
         scored.append((start, stop, scores[:, 0].tolist()))
 
     interval = sys.getswitchinterval()
@@ -131,13 +131,13 @@ def test_error_in_a_block_reaches_the_caller(monkeypatch, workers):
     failures = {start: BlockFailure(start) for start in range(10, nq)}
     positions = metrics.positions
 
-    def failing(scores, tracked):
+    def failing(scores, tracked, out=None):
         failure = failures.get(int(scores[0, 0]))
         if failure is failures[10]:
             time.sleep(0.05)  # so that on several threads a later block fails first
         if failure is not None:
             raise failure
-        return positions(scores, tracked)
+        return positions(scores, tracked, out)
 
     expected, threads = metrics.ndcg_average(sim, rel, "t2v"), threading.active_count()
     monkeypatch.setattr(metrics, "positions", failing)
@@ -160,3 +160,36 @@ def test_threads_hold_few_blocks_at_once(monkeypatch):
     # each thread copies out its own v2t block as it takes it: handing every
     # block to the pool at once would hold a whole transposed matrix
     assert peak <= 0.5 * sim.values.nbytes
+
+
+@pytest.mark.parametrize("block_scores", [1000, metrics._BLOCK_SCORES])
+def test_report_is_bit_identical_on_one_and_two_threads(monkeypatch, block_scores):
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", block_scores)
+    rng = np.random.default_rng(7)
+    sim, dataset = random_eval(rng, 301, 290, 4)  # the last block of each direction is short
+    serial = outcome(monkeypatch, 1, metrics.metrics_report, sim, dataset)
+    assert outcome(monkeypatch, 2, metrics.metrics_report, sim, dataset) == serial
+
+
+def test_blocks_are_views_or_one_reused_buffer_per_thread(monkeypatch):
+    monkeypatch.setattr(metrics, "_WORKERS", 1)
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 60)  # three 20-wide rows per block
+    values = np.random.default_rng(0).normal(size=(20, 20))
+    for matrix in (values, values.T):
+        blocks = []
+
+        def score(start, stop, scores, scratch):
+            assert np.array_equal(scores, matrix[start:stop]) and scratch.shape == scores.shape
+            blocks.append((start, scores.ctypes.data, np.shares_memory(scores, values), scratch.ctypes.data))
+            scratch[...] = np.nan  # the callback may overwrite its scratch
+
+        metrics._each_block(matrix, score)
+        assert [start for start, _, _, _ in blocks] == list(range(0, 20, 3))
+        assert len({scratch for _, _, _, scratch in blocks}) == 1
+        if matrix is values:  # t2v rows: views into the matrix
+            assert [(address, shared) for _, address, shared, _ in blocks] == [
+                (values.ctypes.data + start * values.strides[0], True) for start, _, _, _ in blocks
+            ]
+        else:  # v2t rows: copied into the same buffer each time
+            assert len({address for _, address, _, _ in blocks}) == 1
+            assert not any(shared for _, _, shared, _ in blocks)
