@@ -25,7 +25,7 @@ from framebias.audit import (
 from framebias.dataset import ActionClass, load_annotations, write_native_csv
 from framebias.errors import FrameBiasError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class, sum_similarity_matrices
-from framebias.matrices import load_matrix, save_matrix
+from framebias.matrices import load_matrix, open_matrix, save_matrix
 from framebias.metrics import inspect_query, metrics_report
 from framebias.reports import build_envelope, filter_report_dict, histogram_dict, metrics_report_dict, write_report
 from framebias.simulate import SimConfig, bias_sweep
@@ -146,8 +146,8 @@ def cmd_filter_one(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = load_annotations(args.annotations, args.format)
-    sim = load_matrix(args.sim)
-    report = metrics_report(sim, dataset, threshold=args.threshold, depth=args.depth)
+    with open_matrix(args.sim) as sim:  # a SIMM file is ranked as it is read
+        report = metrics_report(sim, dataset, threshold=args.threshold, depth=args.depth)
     payload = {"threshold": args.threshold, "depth": args.depth, **metrics_report_dict(report)}
     write_report(args.out, build_envelope("eval", _echo(args), payload))
     return 0

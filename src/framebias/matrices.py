@@ -10,19 +10,27 @@ Two interchangeable serializations:
   prefixed ids).
 
 A text matrix is read row by row, from a pipe too, into an array that grows
-as rows arrive. A SIMM file is decoded from a seekable binary file object:
-the header first, then the values read straight into the array the matrix
-keeps, then the id lists. It is written the same way, streaming the values
-buffer. A matrix keeps the array it is handed when that array is float64,
-C-contiguous and owns its data, and marks it read-only; any other input (a
-view, another dtype, a list) is copied.
+as rows arrive, and written row by row. A SIMM file is opened as a
+``SimmReader`` on a seekable file: the header, the file's length and the id
+lists are decoded and checked first (the id lists a few bytes at a time, so a
+padded file is refused from its length), and the values are then read on
+demand with positional reads: all of them into the array the matrix keeps
+(``load_matrix``, ``from_binary``), or one block of rows or one group of
+columns at a time while ``metrics`` ranks them (``open_matrix``, as eval
+does), so the matrix is never held whole. It is written by streaming the
+values buffer. A matrix keeps the array it is handed when that array is
+float64, C-contiguous and owns its data, and marks it read-only; any other
+input (a view, another dtype, a list) is copied.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from framebias._numpy import np
@@ -33,6 +41,7 @@ from framebias.errors import AnnotationParseError, FrameBiasError, ShapeMismatch
 MAGIC = b"SIMM"
 VERSION = 1
 _HEADER_BYTES = 13  # magic, version, u32 rows, u32 cols
+_GROUP_BYTES = 1 << 23  # values of one column group, read for the transpose's blocks
 
 
 def _check_ids(ids: tuple[str, ...], side: str) -> None:
@@ -40,6 +49,14 @@ def _check_ids(ids: tuple[str, ...], side: str) -> None:
         first = {}  # id -> index of its first occurrence
         i = next(i for i, id_ in enumerate(ids) if first.setdefault(id_, i) != i)
         raise ShapeMismatchError(f"duplicate {side} id {ids[i]!r} at {side} {i}")
+
+
+def _check_finite(values: np.ndarray, lo, hi, rows, cols) -> None:
+    """Check values from their minimum and maximum (NaN propagates); only a
+    failure looks at cells, and names the first non-finite one in row order."""
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise ShapeMismatchError(f"matrix values must all be finite: {values[i, j]} at ({rows[i]!r}, {cols[j]!r})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,11 +92,7 @@ class SimilarityMatrix:
         object.__setattr__(self, "col_index", {c: j for j, c in enumerate(self.cols)})
 
     def _check_range(self, values: np.ndarray, lo, hi) -> None:
-        """Check the values from their minimum and maximum (NaN propagates); only a failure looks at cells."""
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            i, j = np.argwhere(~np.isfinite(values))[0]
-            cell = f"{values[i, j]} at ({self.rows[i]!r}, {self.cols[j]!r})"
-            raise ShapeMismatchError(f"matrix values must all be finite: {cell}")
+        _check_finite(values, lo, hi, self.rows, self.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,12 +122,17 @@ class RelevancyMatrix(SimilarityMatrix):
             raise ShapeMismatchError("relevancy values must lie in [0, 1]")
 
 
+def _write_text(matrix: SimilarityMatrix, fh) -> None:
+    """Write the text format to an open text file, row by row."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["", *matrix.cols])
+    for row_id, values in zip(matrix.rows, matrix.values):
+        writer.writerow([row_id, *map(repr, values.tolist())])
+
+
 def to_text(matrix: SimilarityMatrix) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(matrix.cols))
-    for i, row_id in enumerate(matrix.rows):
-        writer.writerow([row_id] + [repr(float(v)) for v in matrix.values[i]])
+    _write_text(matrix, buf)
     return buf.getvalue()
 
 
@@ -157,12 +175,19 @@ def _pack_ids(ids: tuple[str, ...]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_ids(buf: bytes, base: int, offset: int, expected: int, side: str) -> tuple[tuple[str, ...], int]:
-    """Decode one id list at file ``offset``; ``buf`` holds the file from byte ``base`` on."""
-    size = base + len(buf)
+def _read_ids(fh, offset: int, size: int, expected: int, side: str) -> tuple[tuple[str, ...], int]:
+    """Decode one id list from ``fh``, positioned at file ``offset``, reading
+    only its own bytes; ``size`` is the file's length."""
+
+    def take(n: int) -> bytes:
+        data = fh.read(n)
+        if len(data) != n:
+            raise AnnotationParseError(f"SIMM {side} ids ended early: the file shrank below {size} bytes while read")
+        return data
+
     if offset + 4 > size:
         raise AnnotationParseError(f"SIMM truncated at the {side} id count (offset {offset} of {size} bytes)")
-    (count,) = struct.unpack_from("<I", buf, offset - base)
+    (count,) = struct.unpack("<I", take(4))
     if count != expected:
         raise AnnotationParseError(f"SIMM {side} id count {count} does not match the matrix's {expected} {side}s")
     offset += 4
@@ -170,14 +195,14 @@ def _unpack_ids(buf: bytes, base: int, offset: int, expected: int, side: str) ->
     for i in range(count):
         if offset + 4 > size:
             raise AnnotationParseError(f"SIMM truncated at {side} id {i} (offset {offset} of {size} bytes)")
-        (n,) = struct.unpack_from("<I", buf, offset - base)
+        (n,) = struct.unpack("<I", take(4))
         offset += 4
         if offset + n > size:
             raise AnnotationParseError(
                 f"SIMM truncated in {side} id {i}: {n} bytes at offset {offset}, file has {size}"
             )
         try:
-            ids.append(buf[offset - base : offset - base + n].decode("utf-8"))
+            ids.append(take(n).decode("utf-8"))
         except UnicodeDecodeError:
             raise AnnotationParseError(f"SIMM {side} id {i} at offset {offset} is not UTF-8") from None
         offset += n
@@ -193,38 +218,199 @@ def _write_simm(matrix: SimilarityMatrix, fh) -> None:
     fh.write(_pack_ids(matrix.cols))
 
 
-def _read_simm(fh) -> SimilarityMatrix:
-    """Decode a SIMM file from a seekable binary file object.
+@contextmanager
+def _named(name):
+    """Put ``name`` in front of a FrameBiasError raised in the block, unless it is None."""
+    try:
+        yield
+    except FrameBiasError as err:
+        if name is None:
+            raise
+        raise type(err)(f"{name}: {err}") from None
 
-    The values are read into the array the matrix keeps, once the file's
-    length (from a seek to its end) is known to hold them; any malformed,
-    truncated or padded input raises AnnotationParseError naming the place.
+
+class SimmReader:
+    """A SIMM file, open in a seekable binary file object, whose values are
+    read only when they are asked for.
+
+    Opening decodes and checks the header, the file's length and both id
+    lists, with the diagnostics ``from_binary`` gives. ``load`` then reads
+    every value into a ``SimilarityMatrix``; ``values`` instead hands them,
+    or with ``values.T`` their transpose, to ``metrics`` a block of rows at a
+    time, so the matrix is never held whole. Errors of those block reads put
+    ``name`` in front. The reader reads with positional reads, so several
+    threads may read at once; it does not close the file.
     """
-    size = fh.seek(0, io.SEEK_END)
-    fh.seek(0)
-    header = fh.read(_HEADER_BYTES)
-    if header[:4] != MAGIC:
-        raise AnnotationParseError("not a SIMM matrix file (bad magic)")
-    if len(header) < _HEADER_BYTES:
-        raise AnnotationParseError(f"SIMM header truncated: {len(header)} of {_HEADER_BYTES} bytes")
-    if header[4] != VERSION:
-        raise AnnotationParseError(f"unsupported SIMM version {header[4]}")
-    nrows, ncols = struct.unpack_from("<II", header, 5)
-    offset = _HEADER_BYTES + 8 * nrows * ncols
-    if offset > size:
-        raise AnnotationParseError(
-            f"SIMM truncated in the {nrows}x{ncols} values: they end at offset {offset}, file has {size} bytes"
-        )
-    values = np.empty((nrows, ncols), dtype="<f8")
-    if fh.readinto(values) != values.nbytes:
-        raise AnnotationParseError(f"SIMM values ended early: the file shrank below {size} bytes while read")
-    ids = fh.read()
-    size = offset + len(ids)
-    rows, end = _unpack_ids(ids, offset, offset, nrows, "row")
-    cols, end = _unpack_ids(ids, offset, end, ncols, "column")
-    if end != size:
-        raise AnnotationParseError(f"SIMM has {size - end} trailing bytes after offset {end}")
-    return SimilarityMatrix(rows=rows, cols=cols, values=values)
+
+    def __init__(self, fh, name=None) -> None:
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        header = fh.read(_HEADER_BYTES)
+        if header[:4] != MAGIC:
+            raise AnnotationParseError("not a SIMM matrix file (bad magic)")
+        if len(header) < _HEADER_BYTES:
+            raise AnnotationParseError(f"SIMM header truncated: {len(header)} of {_HEADER_BYTES} bytes")
+        if header[4] != VERSION:
+            raise AnnotationParseError(f"unsupported SIMM version {header[4]}")
+        nrows, ncols = struct.unpack_from("<II", header, 5)
+        offset = _HEADER_BYTES + 8 * nrows * ncols
+        if offset > size:
+            raise AnnotationParseError(
+                f"SIMM truncated in the {nrows}x{ncols} values: they end at offset {offset}, file has {size} bytes"
+            )
+        fh.seek(offset)
+        rows, end = _read_ids(fh, offset, size, nrows, "row")
+        cols, end = _read_ids(fh, end, size, ncols, "column")
+        if end != size:
+            raise AnnotationParseError(f"SIMM has {size - end} trailing bytes after offset {end}")
+        _check_ids(rows, "row")
+        _check_ids(cols, "col")
+        self.name, self.size, self.shape = name, size, (nrows, ncols)
+        self.rows, self.cols = rows, cols
+        self.row_index = {r: i for i, r in enumerate(rows)}
+        self.col_index = {c: j for j, c in enumerate(cols)}
+        self.values = SimmValues(self, transposed=False)
+        try:
+            fd = fh.fileno()
+        except OSError:  # io.BytesIO has no descriptor
+            fd = None
+        if fd is not None and hasattr(os, "preadv"):
+            self._pread = lambda buf, offset: os.preadv(fd, [buf], offset)
+        else:  # one file position: one read at a time
+            lock = threading.Lock()
+
+            def pread(buf, offset):
+                with lock:
+                    fh.seek(offset)
+                    return fh.readinto(buf)
+
+            self._pread = pread
+
+    def _read_into(self, offset: int, buf) -> None:
+        """Fill the byte buffer ``buf`` from file ``offset`` on."""
+        while len(buf):
+            got = self._pread(buf, offset)
+            if not got:
+                raise AnnotationParseError(f"SIMM values ended early: the file shrank below {self.size} bytes while read")
+            buf, offset = buf[got:], offset + got
+
+    def _read_rows(self, start: int, out: np.ndarray) -> None:
+        """Fill the C-contiguous ``out`` with rows from ``start`` on, in one read."""
+        self._read_into(_HEADER_BYTES + 8 * start * self.shape[1], out.reshape(-1).view(np.uint8))
+
+    def _read_columns(self, start: int, out: np.ndarray) -> None:
+        """Fill the C-contiguous ``out`` with columns from ``start`` on of
+        every row, in one read per row."""
+        width, step = 8 * out.shape[1], 8 * self.shape[1]
+        buf = memoryview(out.reshape(-1).view(np.uint8))
+        pread, offset = self._pread, _HEADER_BYTES + 8 * start
+        for at in range(0, len(buf), width):
+            row = buf[at : at + width]
+            if pread(row, offset) != width:
+                self._read_into(offset, row)
+            offset += step
+
+    def load(self) -> SimilarityMatrix:
+        """Read every value into one array, which the matrix keeps."""
+        values = np.empty(self.shape, "<f8")
+        self._read_rows(0, values)
+        return SimilarityMatrix(rows=self.rows, cols=self.cols, values=values)
+
+
+def _check_block(values: np.ndarray, rows, cols) -> None:
+    """Refuse a non-finite value of a block whose cells have ids ``rows`` and ``cols``."""
+    if values.size:
+        _check_finite(values, values.min(), values.max(), rows, cols)
+
+
+class SimmValues:
+    """The values of a ``SimmReader``, or their transpose, as ``metrics``
+    scores them: ``blocks`` reads and checks one block of rows at a time."""
+
+    def __init__(self, reader: SimmReader, transposed: bool) -> None:
+        self.reader, self.transposed, self.dtype = reader, transposed, np.dtype("<f8")
+        self.shape = reader.shape[::-1] if transposed else reader.shape
+
+    @property
+    def T(self) -> SimmValues:
+        return SimmValues(self.reader, not self.transposed)
+
+    def blocks(self, rows: int):
+        """A function ``fill(start, stop, out)`` for blocks that start at
+        multiples of ``rows``: it writes rows ``start:stop`` into the
+        C-contiguous ``out`` and refuses a non-finite value among them as
+        ``SimilarityMatrix`` does. A block of file rows is one read; a block
+        of the transpose is cut from a ``_ColumnGroups`` group."""
+        if self.transposed:
+            return _ColumnGroups(self.reader, rows).fill
+        reader = self.reader
+
+        def fill(start, stop, out):
+            with _named(reader.name):
+                reader._read_rows(start, out)
+                _check_block(out, reader.rows[start:stop], reader.cols)
+
+        return fill
+
+
+class _ColumnGroups:
+    """The blocks of a SIMM file's transposed values, cut from groups of file
+    columns. A group is a multiple of the block width ``rows`` wide, within
+    ``_GROUP_BYTES``, and is read one file row at a time into one of two
+    buffers, once every block of the group two before has been copied out.
+    Groups are read in order, each by a thread that finds its buffer free,
+    often while the other threads score the group before it."""
+
+    def __init__(self, reader: SimmReader, rows: int) -> None:
+        nrows, ncols = reader.shape
+        self.reader = reader
+        self.width = width = max(1, _GROUP_BYTES // (8 * max(1, nrows * rows))) * rows
+        # blocks of each group not yet copied out
+        self.left = [len(range(first, min(first + width, ncols), rows)) for first in range(0, ncols, width)]
+        self.buffers = [np.empty(nrows * min(width, ncols), "<f8") for _ in self.left[:2]]
+        self.next = 0  # the first group not yet being read
+        self.groups = {}  # group -> its values, or the error of reading it
+        self.changed = threading.Condition()
+
+    def fill(self, start: int, stop: int, out: np.ndarray) -> None:
+        g, at = divmod(start, self.width)
+        with _named(self.reader.name):
+            try:
+                self._advance()
+                with self.changed:
+                    while g not in self.groups:
+                        self.changed.wait()
+                    group = self.groups[g]
+                if isinstance(group, BaseException):
+                    raise group
+                np.copyto(out, group[:, at : at + stop - start].T)
+            finally:
+                with self.changed:
+                    self.left[g] -= 1
+                    self.changed.notify_all()
+                self._advance()  # read ahead while this block is scored
+            _check_block(out.T, self.reader.rows, self.reader.cols[start:stop])
+
+    def _advance(self) -> None:
+        """Read each next group whose buffer is free."""
+        nrows, ncols = self.reader.shape
+        while True:
+            with self.changed:
+                g = self.next
+                if g == len(self.left) or (g >= 2 and self.left[g - 2]):
+                    return
+                self.next += 1
+                self.groups.pop(g - 2, None)
+            first = g * self.width
+            width = min(self.width, ncols - first)
+            group = self.buffers[g % 2][: nrows * width].reshape(nrows, width)
+            try:
+                self.reader._read_columns(first, group)
+            except BaseException as error:  # raised by the blocks of this group
+                group = error
+            with self.changed:
+                self.groups[g] = group
+                self.changed.notify_all()
 
 
 def to_binary(matrix: SimilarityMatrix) -> bytes:
@@ -236,7 +422,7 @@ def to_binary(matrix: SimilarityMatrix) -> bytes:
 def from_binary(buf: bytes) -> SimilarityMatrix:
     """Decode a SIMM file held in memory; any malformed, truncated or padded
     input raises AnnotationParseError naming the place."""
-    return _read_simm(io.BytesIO(buf))
+    return SimmReader(io.BytesIO(buf)).load()
 
 
 def save_matrix(matrix: SimilarityMatrix, path) -> None:
@@ -246,26 +432,35 @@ def save_matrix(matrix: SimilarityMatrix, path) -> None:
             _write_simm(matrix, fh)
     else:
         with open_atomic(path) as fh:
-            fh.write(to_text(matrix))
+            _write_text(matrix, fh)
 
 
-def load_matrix(path) -> SimilarityMatrix:
-    """Read either format, sniffing the SIMM magic bytes without a seek, so a
-    text matrix may come from a pipe; a SIMM file must be seekable."""
-    try:
-        with open(path, "rb") as fh:
+@contextmanager
+def open_matrix(path):
+    """Open a matrix file for the ``with`` block: a SIMM file as a
+    ``SimmReader`` on the open file, a text matrix loaded whole. The SIMM
+    magic is sniffed without a seek, so a text matrix may come from a pipe; a
+    SIMM file must be seekable. Errors in opening name the path."""
+    with open(path, "rb") as fh:
+        with _named(path):
             if fh.peek(4)[:4] == MAGIC:
                 if not fh.seekable():
                     raise AnnotationParseError("a SIMM matrix cannot be read from a pipe: its length is needed first")
-                return _read_simm(fh)
-            try:
-                # newline="\n" splits lines at "\n" alone, as StringIO(text) does
-                with io.TextIOWrapper(fh, encoding="utf-8", newline="\n") as text:
-                    return from_text(text)
-            except UnicodeDecodeError:
-                at = bad_utf8_byte(path)
-                raise AnnotationParseError(
-                    "neither a SIMM file nor UTF-8 text" + ("" if at is None else f" (byte {at})")
-                ) from None
-    except FrameBiasError as err:
-        raise type(err)(f"{path}: {err}") from None
+                matrix = SimmReader(fh, path)
+            else:
+                try:
+                    # newline="\n" splits lines at "\n" alone, as StringIO(text) does
+                    with io.TextIOWrapper(fh, encoding="utf-8", newline="\n") as text:
+                        matrix = from_text(text)
+                except UnicodeDecodeError:
+                    at = bad_utf8_byte(path)
+                    raise AnnotationParseError(
+                        "neither a SIMM file nor UTF-8 text" + ("" if at is None else f" (byte {at})")
+                    ) from None
+        yield matrix
+
+
+def load_matrix(path) -> SimilarityMatrix:
+    """Read either format whole (see ``open_matrix``)."""
+    with open_matrix(path) as matrix, _named(path):
+        return matrix.load() if isinstance(matrix, SimmReader) else matrix

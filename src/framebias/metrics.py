@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from framebias._numpy import np
 from framebias.dataset import ActionClass, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchError
-from framebias.matrices import RelevancyMatrix, SimilarityMatrix
+from framebias.matrices import RelevancyMatrix, SimilarityMatrix, SimmReader
 
 DIRECTIONS = ("t2v", "v2t", "avg")
 RECALL_KS = (1, 5, 10)  # cutoffs of each direction's recall
@@ -38,29 +38,37 @@ def _block_bounds(values: np.ndarray) -> list[tuple[int, int]]:
     return [(start, min(start + rows, values.shape[0])) for start in range(0, values.shape[0], rows)]
 
 
-def _each_block(values: np.ndarray, score) -> None:
+def _each_block(values, score) -> None:
     """Call ``score(start, stop, scores, scratch)`` on each block of query
     rows, on up to ``_WORKERS`` threads, this one included.
 
-    A block holds about ``_BLOCK_SCORES`` scores (at least one row). It is a
-    view of ``values`` where its rows are contiguous, and otherwise (for v2t,
-    ``matrix.values.T``, so no transposed matrix is ever made) a copy in a
-    buffer that the thread reuses for each block it takes; ``scratch`` is a
-    second such buffer of the block's shape, free for the callback to
-    overwrite. Both are valid only during the call. After an error no further
-    block starts, and the lowest failing block's error is raised, as a serial
-    loop raises it.
+    ``values`` is an array or the ``SimmValues`` of an open SIMM file. A
+    block holds about ``_BLOCK_SCORES`` scores (at least one row). It is a
+    view of an array whose rows are contiguous, and otherwise (for v2t,
+    ``matrix.values.T``, so no transposed matrix is ever made, and for a
+    file) a copy or a read in a buffer that the thread reuses for each block
+    it takes; ``scratch`` is a second such buffer of the block's shape, free
+    for the callback to overwrite. Both are valid only during the call. After
+    an error no further block starts, and the lowest failing block's error is
+    raised, as a serial loop raises it.
     """
     bounds = _block_bounds(values)
     pending = iter(bounds)
     lock = threading.Lock()
     errors = {}
     shape = (bounds[0][1] - bounds[0][0] if bounds else 0, values.shape[1])
+    if not isinstance(values, np.ndarray):
+        fill = values.blocks(shape[0])
+    elif values.flags.c_contiguous:
+        fill = None
+    else:
+        def fill(start, stop, out):
+            np.copyto(out, values[start:stop])
 
     def work():
         # allocated once per thread: fresh block-sized temporaries can each
         # cost a new mmap and its page faults
-        copy = None if values.flags.c_contiguous else np.empty(shape, values.dtype)
+        copy = None if fill is None else np.empty(shape, values.dtype)
         scratch = np.empty(shape, values.dtype)
         while not errors:
             with lock:
@@ -68,10 +76,11 @@ def _each_block(values: np.ndarray, score) -> None:
             if start is None:
                 return
             try:
-                scores = values[start:stop]
-                if not scores.flags.c_contiguous:
+                if fill is None:
+                    scores = values[start:stop]
+                else:
                     scores = copy[: stop - start]
-                    np.copyto(scores, values[start:stop])
+                    fill(start, stop, scores)
                 score(start, stop, scores, scratch[: stop - start])
             except BaseException as error:
                 errors[start] = error
@@ -393,15 +402,20 @@ def _direction_metrics(ndcg, ap, all_ranks, has_gt) -> DirectionMetrics:
     )
 
 
-def metrics_report(sim: SimilarityMatrix, dataset: Dataset, threshold: float = 1.0, depth: int | None = None) -> MetricsReport:
+def metrics_report(
+    sim: SimilarityMatrix | SimmReader, dataset: Dataset, threshold: float = 1.0, depth: int | None = None
+) -> MetricsReport:
     """Full two-direction evaluation of a similarity matrix against a dataset.
 
     Relevance comes from the clips' action classes; the ground-truth gallery
-    item of a query is the entry with the same id on the other axis.
+    item of a query is the entry with the same id on the other axis. An open
+    SIMM file is scored block by block as it is read.
     """
     for side, ids in (("row", sim.rows), ("column", sim.cols)):
         missing = next((i for i in ids if i not in dataset.by_id), None)
         if missing is not None:
+            # a file's non-finite value is named first, as loading it names it
+            _each_block(sim.values, lambda *block: None)
             raise NotFoundError(f"matrix {side} id {missing!r} does not resolve to a clip")
     if not sim.rows or not sim.cols:
         raise ValueError("query and gallery class lists must be non-empty")

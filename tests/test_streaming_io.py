@@ -241,3 +241,12 @@ def test_text_matrix_load_holds_about_one_matrix(tmp_path):
     assert loaded.values.flags.owndata and not loaded.values.flags.writeable
     # a list of Python floats per value held about 20 matrices
     assert peak <= 3 * matrix.values.nbytes
+
+
+def test_text_matrix_save_holds_about_one_row(tmp_path):
+    matrix = square(1500)
+    peak, _ = traced_peak(save_matrix, matrix, tmp_path / "m.csv")
+    with open(tmp_path / "m.csv", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + 1500
+    # the whole text held as one string peaked at about 5 matrices
+    assert peak <= 0.1 * matrix.values.nbytes
