@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from framebias import __version__
@@ -24,8 +25,8 @@ from framebias.audit import (
 )
 from framebias.dataset import ActionClass, load_annotations, write_native_csv
 from framebias.errors import FrameBiasError
-from framebias.filtering import FilterConfig, filter_margin, filter_single_class, sum_similarity_matrices
-from framebias.matrices import load_matrix, open_matrix, save_matrix
+from framebias.filtering import FilterConfig, SumSource, filter_margin, filter_single_class
+from framebias.matrices import open_matrix, save_matrix
 from framebias.metrics import inspect_query, metrics_report
 from framebias.reports import build_envelope, filter_report_dict, histogram_dict, metrics_report_dict, write_report
 from framebias.simulate import SimConfig, bias_sweep
@@ -155,8 +156,8 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     dataset = load_annotations(args.annotations, args.format)
-    sim = load_matrix(args.sim)
-    entries = inspect_query(sim, dataset, args.query, args.topk)
+    with open_matrix(args.sim) as sim:  # of a SIMM file, only the query's row is read
+        entries = inspect_query(sim, dataset, args.query, args.topk)
     print(f"query {args.query}: top {len(entries)} of {len(sim.cols)} gallery clips")
     print(f"{'rank':>4}  {'gallery_id':<24} {'score':>12} {'frames':>7} {'rel':>4}  caption")
     for rank, e in enumerate(entries, start=1):
@@ -186,13 +187,16 @@ def cmd_simulate(args) -> int:
     _check_distinct_tags("alpha", alphas, "g")
     out_dir = Path(args.out_dir)
 
-    def emit(seed, alpha, dataset, reference, sim):
+    @contextmanager
+    def emit(seed, alpha, dataset, reference):
         # bias_sweep checks its arguments before the first condition
         out_dir.mkdir(parents=True, exist_ok=True)
         tag = f"seed{seed}" if alpha is None else f"seed{seed}_alpha{alpha:g}"
+        # the matrix is written as the condition is scored; a failed one leaves neither file
+        with open_atomic(out_dir / f"sim_{tag}{'_baseline' if alpha is None else ''}.simm", "wb") as fh:
+            yield fh
         with open_atomic(out_dir / f"annotations_{tag}.csv") as fh:
             write_native_csv(reference, fh)
-        save_matrix(sim, out_dir / f"sim_{tag}{'_baseline' if alpha is None else ''}.simm")
 
     rows = bias_sweep(
         config, alphas, seeds, min_class_size=args.min_class_size, topk=args.topk,
@@ -211,8 +215,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sum_sims(args) -> int:
-    total = sum_similarity_matrices((load_matrix(p) for p in args.paths), mean=args.mean)
-    save_matrix(total, args.out)
+    with ExitStack() as stack:  # a block of rows is read from every input, summed and written
+        inputs = [stack.enter_context(open_matrix(path)) for path in args.paths]
+        save_matrix(SumSource(inputs, mean=args.mean), args.out)
     return 0
 
 

@@ -14,7 +14,8 @@ import io
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import contains, itemgetter
 from typing import NamedTuple
 
 from framebias.errors import AnnotationParseError, ValidationError
@@ -303,9 +304,18 @@ def bad_utf8_byte(path) -> int | None:
     return None
 
 
+def csv_writer(fh, strings):
+    """A ``csv.writer`` for ``fh`` whose rows the readers here parse back:
+    ``csv`` leaves a lone ``\\r`` unquoted, which they refuse, so every field
+    is quoted when one of ``strings`` (the text to be written) holds one."""
+    has_cr = any(map(contains, strings, repeat("\r")))
+    return csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL if has_cr else csv.QUOTE_MINIMAL)
+
+
 def write_native_csv(dataset: Dataset, fh) -> None:
     """Write the native format to an open text file, row by row."""
-    writer = csv.writer(fh, lineterminator="\n")
+    texts = map(itemgetter(0, 1, 5), dataset.clips)  # clip id, video id, caption
+    writer = csv_writer(fh, chain.from_iterable(texts))
     writer.writerow(NATIVE_COLUMNS)
     writer.writerows(dataset.clips)
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import bisect
 import math
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
+from framebias._numpy import np
 from framebias.audit import ClassStats, stats_from_sums
 from framebias.dataset import ActionClass, ClipRecord, Dataset, frame_length
 from framebias.errors import NotFoundError, ShapeMismatchError
@@ -204,3 +206,36 @@ def sum_similarity_matrices(matrices, mean: bool = False) -> SimilarityMatrix:
     if mean:
         total /= count
     return SimilarityMatrix(rows=rows, cols=cols, values=total)
+
+
+class SumSource:
+    """The elementwise sum (``mean=True``: mean) of block sources with
+    identical ids, as a block source: each block adds the same block of every
+    input in order, so its values are those of ``sum_similarity_matrices``."""
+
+    def __init__(self, sources, mean: bool = False) -> None:
+        self.sources, self.mean = list(sources), mean
+        if not self.sources:
+            raise ValueError("at least one similarity matrix is required")
+        first = self.sources[0]
+        if any(s.rows != first.rows or s.cols != first.cols for s in self.sources[1:]):
+            raise ShapeMismatchError("matrices must share identical row/column id mappings")
+        self.rows, self.cols, self.shape = first.rows, first.cols, first.shape
+
+    @contextmanager
+    def blocks(self, rows: int):
+        with ExitStack() as stack:
+            first, *rest = (stack.enter_context(s.blocks(rows)) for s in self.sources)
+
+            def fill(start, stop, out):
+                block = first(start, stop, out)
+                if block is not out:  # a matrix's rows come as a view
+                    np.copyto(out, block)
+                term = np.empty_like(out)
+                for other in rest:
+                    out += other(start, stop, term)
+                if self.mean:
+                    out /= len(self.sources)
+                return out
+
+            yield fill

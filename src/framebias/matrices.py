@@ -9,18 +9,26 @@ Two interchangeable serializations:
   (rows, then cols; each list is a u32 count followed by u32-length-
   prefixed ids).
 
+Every matrix is read, written and scored as a *block source*: ``rows``,
+``cols``, ``shape``, ``T`` (its transpose, also a source) and
+``blocks(rows)``, a context manager giving ``fill(start, stop, out)``. That
+returns rows ``start:stop`` (``start`` a multiple of ``rows``), written into
+the C-contiguous ``out`` or as a view where they are held so, and refuses a
+non-finite value; several threads may fill at once. A ``SimilarityMatrix``,
+an open SIMM file (``SimmReader``) and the simulator's per-condition
+generator provide it.
+
 A text matrix is read row by row, from a pipe too, into an array that grows
-as rows arrive, and written row by row. A SIMM file is opened as a
-``SimmReader`` on a seekable file: the header, the file's length and the id
-lists are decoded and checked first (the id lists a few bytes at a time, so a
-padded file is refused from its length), and the values are then read on
-demand with positional reads: all of them into the array the matrix keeps
-(``load_matrix``, ``from_binary``), or one block of rows or one group of
-columns at a time while ``metrics`` ranks them (``open_matrix``, as eval
-does), so the matrix is never held whole. It is written by streaming the
-values buffer. A matrix keeps the array it is handed when that array is
-float64, C-contiguous and owns its data, and marks it read-only; any other
-input (a view, another dtype, a list) is copied.
+as rows arrive. A SIMM file is opened as a ``SimmReader`` on a seekable file:
+the header, the file's length and the id lists are checked first (the id
+lists a few bytes at a time, so a padded file is refused from its length),
+and values are read on demand with positional reads: whole (``load_matrix``,
+``from_binary``), a block of rows in one read, or, for ``T``, blocks cut from
+column groups that one reader thread reads ahead. Any source is saved a block
+of rows at a time; a ``SimmWriter`` writes each block at its own offset, so
+blocks may come in any order, from any thread. A matrix keeps the array it is
+handed when that array is float64, C-contiguous and owns its data, and marks
+it read-only; any other input (a view, another dtype, a list) is copied.
 """
 
 from __future__ import annotations
@@ -35,13 +43,14 @@ from dataclasses import dataclass, field
 
 from framebias._numpy import np
 from framebias.atomic import open_atomic
-from framebias.dataset import _lines, bad_utf8_byte
+from framebias.dataset import _lines, bad_utf8_byte, csv_writer
 from framebias.errors import AnnotationParseError, FrameBiasError, ShapeMismatchError
 
 MAGIC = b"SIMM"
 VERSION = 1
 _HEADER_BYTES = 13  # magic, version, u32 rows, u32 cols
-_GROUP_BYTES = 1 << 23  # values of one column group, read for the transpose's blocks
+_GROUP_BYTES = 1 << 23  # values of one column group, read ahead for the transpose's blocks
+_SAVE_VALUES = 1 << 16  # values of one block of rows that a save fills and writes
 
 
 def _check_ids(ids: tuple[str, ...], side: str) -> None:
@@ -59,6 +68,22 @@ def _check_finite(values: np.ndarray, lo, hi, rows, cols) -> None:
         raise ShapeMismatchError(f"matrix values must all be finite: {values[i, j]} at ({rows[i]!r}, {cols[j]!r})")
 
 
+def _check_block(values: np.ndarray, rows, cols) -> None:
+    """Refuse a non-finite value of a block whose cells have ids ``rows`` and ``cols``."""
+    if values.size:
+        _check_finite(values, values.min(), values.max(), rows, cols)
+
+
+class _Transposed:
+    """The transpose of a block source, whose blocks the source fills from its columns."""
+
+    def __init__(self, source) -> None:
+        self.T, self.rows, self.cols, self.shape = source, source.cols, source.rows, source.shape[::-1]
+
+    def blocks(self, rows: int):
+        return self.T._column_blocks(rows)
+
+
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
     """Scores for every (query, gallery) pair; values must be finite.
@@ -66,6 +91,7 @@ class SimilarityMatrix:
     ``values`` is taken over, not copied, when it is a float64, C-contiguous
     array that owns its data: the matrix then marks it read-only, so the
     caller can no longer write to it. Views and other inputs are copied.
+    Its blocks are views of that array's rows; those of ``T`` are copies.
     """
 
     rows: tuple[str, ...]
@@ -98,6 +124,24 @@ class SimilarityMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
+    @property
+    def T(self) -> _Transposed:
+        return _Transposed(self)
+
+    @contextmanager
+    def blocks(self, rows: int):
+        yield lambda start, stop, out: self.values[start:stop]
+
+    @contextmanager
+    def _column_blocks(self, rows: int):
+        columns = self.values.T
+
+        def fill(start, stop, out):
+            np.copyto(out, columns[start:stop])
+            return out
+
+        yield fill
+
     def transposed(self):
         return type(self)(rows=self.cols, cols=self.rows, values=self.values.T)
 
@@ -122,15 +166,31 @@ class RelevancyMatrix(SimilarityMatrix):
             raise ShapeMismatchError("relevancy values must lie in [0, 1]")
 
 
-def _write_text(matrix: SimilarityMatrix, fh) -> None:
-    """Write the text format to an open text file, row by row."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["", *matrix.cols])
-    for row_id, values in zip(matrix.rows, matrix.values):
-        writer.writerow([row_id, *map(repr, values.tolist())])
+def _in_order(source, use) -> None:
+    """Call ``use(start, block)`` on each block of ``source``'s rows in file
+    order, each of about ``_SAVE_VALUES`` values, filled into one buffer."""
+    nrows, ncols = source.shape
+    step = max(1, _SAVE_VALUES // max(1, ncols))
+    out = np.empty((min(step, nrows), ncols))
+    with source.blocks(step) as fill:
+        for start in range(0, nrows, step):
+            stop = min(start + step, nrows)
+            use(start, fill(start, stop, out[: stop - start]))
 
 
-def to_text(matrix: SimilarityMatrix) -> str:
+def _write_text(source, fh) -> None:
+    """Write the text format of a block source to an open text file, row by row."""
+    writer = csv_writer(fh, (*source.rows, *source.cols))
+    writer.writerow(["", *source.cols])
+
+    def write(start, block):
+        for row_id, values in zip(source.rows[start:], block):
+            writer.writerow([row_id, *map(repr, values.tolist())])
+
+    _in_order(source, write)
+
+
+def to_text(matrix) -> str:
     buf = io.StringIO()
     _write_text(matrix, buf)
     return buf.getvalue()
@@ -209,13 +269,59 @@ def _read_ids(fh, offset: int, size: int, expected: int, side: str) -> tuple[tup
     return tuple(ids), offset
 
 
-def _write_simm(matrix: SimilarityMatrix, fh) -> None:
-    """Stream a matrix to a binary file object: header, values buffer, ids."""
-    nrows, ncols = matrix.shape
-    fh.write(MAGIC + bytes([VERSION]) + struct.pack("<II", nrows, ncols))
-    fh.write(np.ascontiguousarray(matrix.values, dtype="<f8"))
-    fh.write(_pack_ids(matrix.rows))
-    fh.write(_pack_ids(matrix.cols))
+def _positional(fh, read: bool):
+    """``move(buffer, offset) -> bytes moved``, reading into or writing from
+    ``buffer`` at ``offset`` of ``fh``, from any thread: one system call, or
+    for a file without a descriptor, a seek and a read or write under a lock."""
+    try:
+        fd = fh.fileno()
+    except OSError:  # io.BytesIO has no descriptor
+        fd = None
+    if fd is not None and hasattr(os, "preadv"):
+        if read:
+            return lambda buf, offset: os.preadv(fd, [buf], offset)
+        return lambda buf, offset: os.pwrite(fd, buf, offset)
+    lock = threading.Lock()
+    method = fh.readinto if read else fh.write
+
+    def move(buf, offset):
+        with lock:
+            fh.seek(offset)
+            return method(buf)
+
+    return move
+
+
+class SimmWriter:
+    """A block source that writes each block ``source`` fills to the binary
+    file ``fh``, at its offset in the SIMM layout; the header and id lists are
+    written first. The file is complete once every block has been filled, in
+    any order and from any threads, so a block is written and scored in one pass."""
+
+    def __init__(self, source, fh) -> None:
+        self.source, self.rows, self.cols, self.shape = source, source.rows, source.cols, source.shape
+        self._pwrite = _positional(fh, read=False)
+        nrows, ncols = self.shape
+        self._write(MAGIC + bytes([VERSION]) + struct.pack("<II", nrows, ncols), 0)
+        self._write(_pack_ids(self.rows) + _pack_ids(self.cols), _HEADER_BYTES + 8 * nrows * ncols)
+
+    def _write(self, data, offset: int) -> None:
+        data = memoryview(data)
+        while data:
+            written = self._pwrite(data, offset)
+            data, offset = data[written:], offset + written
+
+    @contextmanager
+    def blocks(self, rows: int):
+        with self.source.blocks(rows) as fill:
+
+            def write(start, stop, out):
+                block = fill(start, stop, out)
+                flat = np.ascontiguousarray(block, "<f8").reshape(-1).view(np.uint8)
+                self._write(flat, _HEADER_BYTES + 8 * start * self.shape[1])
+                return block
+
+            yield write
 
 
 @contextmanager
@@ -230,16 +336,16 @@ def _named(name):
 
 
 class SimmReader:
-    """A SIMM file, open in a seekable binary file object, whose values are
-    read only when they are asked for.
+    """A SIMM file, open in a seekable binary file object, as a block source
+    whose values are read only when they are asked for.
 
     Opening decodes and checks the header, the file's length and both id
     lists, with the diagnostics ``from_binary`` gives. ``load`` then reads
-    every value into a ``SimilarityMatrix``; ``values`` instead hands them,
-    or with ``values.T`` their transpose, to ``metrics`` a block of rows at a
-    time, so the matrix is never held whole. Errors of those block reads put
-    ``name`` in front. The reader reads with positional reads, so several
-    threads may read at once; it does not close the file.
+    every value into a ``SimilarityMatrix``. A block of rows is one read; the
+    blocks of ``T`` are cut from groups of file columns (``_ColumnGroups``),
+    so the matrix is never held whole. Errors of those reads put ``name`` in
+    front. The reader reads with positional reads, so several threads may
+    read at once; it does not close the file.
     """
 
     def __init__(self, fh, name=None) -> None:
@@ -267,24 +373,11 @@ class SimmReader:
         _check_ids(cols, "col")
         self.name, self.size, self.shape = name, size, (nrows, ncols)
         self.rows, self.cols = rows, cols
-        self.row_index = {r: i for i, r in enumerate(rows)}
-        self.col_index = {c: j for j, c in enumerate(cols)}
-        self.values = SimmValues(self, transposed=False)
-        try:
-            fd = fh.fileno()
-        except OSError:  # io.BytesIO has no descriptor
-            fd = None
-        if fd is not None and hasattr(os, "preadv"):
-            self._pread = lambda buf, offset: os.preadv(fd, [buf], offset)
-        else:  # one file position: one read at a time
-            lock = threading.Lock()
+        self._pread = _positional(fh, read=True)
 
-            def pread(buf, offset):
-                with lock:
-                    fh.seek(offset)
-                    return fh.readinto(buf)
-
-            self._pread = pread
+    @property
+    def T(self) -> _Transposed:
+        return _Transposed(self)
 
     def _read_into(self, offset: int, buf) -> None:
         """Fill the byte buffer ``buf`` from file ``offset`` on."""
@@ -310,6 +403,24 @@ class SimmReader:
                 self._read_into(offset, row)
             offset += step
 
+    @contextmanager
+    def blocks(self, rows: int):
+        def fill(start, stop, out):
+            with _named(self.name):
+                self._read_rows(start, out)
+                _check_block(out, self.rows[start:stop], self.cols)
+            return out
+
+        yield fill
+
+    @contextmanager
+    def _column_blocks(self, rows: int):
+        groups = _ColumnGroups(self, rows)
+        try:
+            yield groups.fill
+        finally:
+            groups.stop()
+
     def load(self) -> SimilarityMatrix:
         """Read every value into one array, which the matrix keeps."""
         values = np.empty(self.shape, "<f8")
@@ -317,67 +428,66 @@ class SimmReader:
         return SimilarityMatrix(rows=self.rows, cols=self.cols, values=values)
 
 
-def _check_block(values: np.ndarray, rows, cols) -> None:
-    """Refuse a non-finite value of a block whose cells have ids ``rows`` and ``cols``."""
-    if values.size:
-        _check_finite(values, values.min(), values.max(), rows, cols)
-
-
-class SimmValues:
-    """The values of a ``SimmReader``, or their transpose, as ``metrics``
-    scores them: ``blocks`` reads and checks one block of rows at a time."""
-
-    def __init__(self, reader: SimmReader, transposed: bool) -> None:
-        self.reader, self.transposed, self.dtype = reader, transposed, np.dtype("<f8")
-        self.shape = reader.shape[::-1] if transposed else reader.shape
-
-    @property
-    def T(self) -> SimmValues:
-        return SimmValues(self.reader, not self.transposed)
-
-    def blocks(self, rows: int):
-        """A function ``fill(start, stop, out)`` for blocks that start at
-        multiples of ``rows``: it writes rows ``start:stop`` into the
-        C-contiguous ``out`` and refuses a non-finite value among them as
-        ``SimilarityMatrix`` does. A block of file rows is one read; a block
-        of the transpose is cut from a ``_ColumnGroups`` group."""
-        if self.transposed:
-            return _ColumnGroups(self.reader, rows).fill
-        reader = self.reader
-
-        def fill(start, stop, out):
-            with _named(reader.name):
-                reader._read_rows(start, out)
-                _check_block(out, reader.rows[start:stop], reader.cols)
-
-        return fill
-
-
 class _ColumnGroups:
     """The blocks of a SIMM file's transposed values, cut from groups of file
     columns. A group is a multiple of the block width ``rows`` wide, within
-    ``_GROUP_BYTES``, and is read one file row at a time into one of two
-    buffers, once every block of the group two before has been copied out.
-    Groups are read in order, each by a thread that finds its buffer free,
-    often while the other threads score the group before it."""
+    ``_GROUP_BYTES``. One thread (``_read_ahead``) reads the groups in order,
+    one file row at a time, into one of two buffers once every block of the
+    group two before has been copied out, while the scoring threads score.
+    The first block starts it, once the scoring threads run: started before
+    them, it can take over the malloc arena of a scoring thread that has
+    ended, and a new scoring thread then grows another (1.5 MB of peak RSS
+    at 4000x4000)."""
 
-    def __init__(self, reader: SimmReader, rows: int) -> None:
-        nrows, ncols = reader.shape
-        self.reader = reader
+    def __init__(self, file: SimmReader, rows: int) -> None:
+        nrows, ncols = file.shape
+        self.file = file
         self.width = width = max(1, _GROUP_BYTES // (8 * max(1, nrows * rows))) * rows
         # blocks of each group not yet copied out
         self.left = [len(range(first, min(first + width, ncols), rows)) for first in range(0, ncols, width)]
         self.buffers = [np.empty(nrows * min(width, ncols), "<f8") for _ in self.left[:2]]
-        self.next = 0  # the first group not yet being read
-        self.groups = {}  # group -> its values, or the error of reading it
+        self.groups = {}  # group -> its values, or the error that ended the reading
+        self.stopped = False
         self.changed = threading.Condition()
+        self.reader = threading.Thread(target=self._read_ahead, name="simm-columns")
 
-    def fill(self, start: int, stop: int, out: np.ndarray) -> None:
-        g, at = divmod(start, self.width)
-        with _named(self.reader.name):
+    def _read_ahead(self) -> None:
+        nrows, ncols = self.file.shape
+        for g in range(len(self.left)):
+            with self.changed:
+                while g >= 2 and self.left[g - 2] and not self.stopped:
+                    self.changed.wait()
+                if self.stopped:
+                    return
+                self.groups.pop(g - 2, None)
+            first = g * self.width
+            width = min(self.width, ncols - first)
+            group = self.buffers[g % 2][: nrows * width].reshape(nrows, width)
             try:
-                self._advance()
+                self.file._read_columns(first, group)
+            except BaseException as error:  # re-raised by the blocks of this group and every later one
                 with self.changed:
+                    self.groups.update(dict.fromkeys(range(g, len(self.left)), error))
+                    self.changed.notify_all()
+                return
+            with self.changed:
+                self.groups[g] = group
+                self.changed.notify_all()
+
+    def stop(self) -> None:
+        with self.changed:
+            self.stopped = True
+            self.changed.notify_all()
+        if self.reader.ident is not None:
+            self.reader.join()
+
+    def fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        g, at = divmod(start, self.width)
+        with _named(self.file.name):
+            try:
+                with self.changed:
+                    if self.reader.ident is None:
+                        self.reader.start()
                     while g not in self.groups:
                         self.changed.wait()
                     group = self.groups[g]
@@ -388,32 +498,16 @@ class _ColumnGroups:
                 with self.changed:
                     self.left[g] -= 1
                     self.changed.notify_all()
-                self._advance()  # read ahead while this block is scored
-            _check_block(out.T, self.reader.rows, self.reader.cols[start:stop])
-
-    def _advance(self) -> None:
-        """Read each next group whose buffer is free."""
-        nrows, ncols = self.reader.shape
-        while True:
-            with self.changed:
-                g = self.next
-                if g == len(self.left) or (g >= 2 and self.left[g - 2]):
-                    return
-                self.next += 1
-                self.groups.pop(g - 2, None)
-            first = g * self.width
-            width = min(self.width, ncols - first)
-            group = self.buffers[g % 2][: nrows * width].reshape(nrows, width)
-            try:
-                self.reader._read_columns(first, group)
-            except BaseException as error:  # raised by the blocks of this group
-                group = error
-            with self.changed:
-                self.groups[g] = group
-                self.changed.notify_all()
+            _check_block(out.T, self.file.rows, self.file.cols[start:stop])
+        return out
 
 
-def to_binary(matrix: SimilarityMatrix) -> bytes:
+def _write_simm(source, fh) -> None:
+    """Write a block source to a binary file object as SIMM, in file order."""
+    _in_order(SimmWriter(source, fh), lambda start, block: None)
+
+
+def to_binary(matrix) -> bytes:
     buf = io.BytesIO()
     _write_simm(matrix, buf)
     return buf.getvalue()
@@ -425,8 +519,9 @@ def from_binary(buf: bytes) -> SimilarityMatrix:
     return SimmReader(io.BytesIO(buf)).load()
 
 
-def save_matrix(matrix: SimilarityMatrix, path) -> None:
-    """Write binary when the path ends in .simm, text otherwise."""
+def save_matrix(matrix, path) -> None:
+    """Write a block source a block of rows at a time: binary when the path
+    ends in .simm, text otherwise."""
     if str(path).endswith(".simm"):
         with open_atomic(path, "wb") as fh:
             _write_simm(matrix, fh)
@@ -437,10 +532,10 @@ def save_matrix(matrix: SimilarityMatrix, path) -> None:
 
 @contextmanager
 def open_matrix(path):
-    """Open a matrix file for the ``with`` block: a SIMM file as a
-    ``SimmReader`` on the open file, a text matrix loaded whole. The SIMM
-    magic is sniffed without a seek, so a text matrix may come from a pipe; a
-    SIMM file must be seekable. Errors in opening name the path."""
+    """Open a matrix file for the ``with`` block as a block source: a SIMM
+    file as a ``SimmReader`` on the open file, a text matrix loaded whole. The
+    SIMM magic is sniffed without a seek, so a text matrix may come from a
+    pipe; a SIMM file must be seekable. Errors in opening name the path."""
     with open(path, "rb") as fh:
         with _named(path):
             if fh.peek(4)[:4] == MAGIC:

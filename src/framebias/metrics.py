@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from framebias._numpy import np
 from framebias.dataset import ActionClass, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchError
-from framebias.matrices import RelevancyMatrix, SimilarityMatrix, SimmReader
+from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 
 DIRECTIONS = ("t2v", "v2t", "avg")
 RECALL_KS = (1, 5, 10)  # cutoffs of each direction's recall
@@ -33,64 +33,56 @@ _BLOCK_SCORES = 1 << 17  # scores ranked at once: a block's scratch arrays stay 
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
-def _block_bounds(values: np.ndarray) -> list[tuple[int, int]]:
-    rows = max(1, _BLOCK_SCORES // max(1, values.shape[1]))
-    return [(start, min(start + rows, values.shape[0])) for start in range(0, values.shape[0], rows)]
+def _block_bounds(source, scores: int | None = None) -> list[tuple[int, int]]:
+    """Blocks of rows of about ``scores`` scores (``_BLOCK_SCORES``), at least one row each."""
+    rows = max(1, (scores or _BLOCK_SCORES) // max(1, source.shape[1]))
+    return [(start, min(start + rows, source.shape[0])) for start in range(0, source.shape[0], rows)]
 
 
-def _each_block(values, score) -> None:
-    """Call ``score(start, stop, scores, scratch)`` on each block of query
-    rows, on up to ``_WORKERS`` threads, this one included.
+def _each_block(source, score, block_scores: int | None = None) -> None:
+    """Call ``score(start, stop, scores, scratch)`` on each block of a block
+    source's rows (see ``matrices``), on up to ``_WORKERS`` threads, this one
+    included.
 
-    ``values`` is an array or the ``SimmValues`` of an open SIMM file. A
-    block holds about ``_BLOCK_SCORES`` scores (at least one row). It is a
-    view of an array whose rows are contiguous, and otherwise (for v2t,
-    ``matrix.values.T``, so no transposed matrix is ever made, and for a
-    file) a copy or a read in a buffer that the thread reuses for each block
-    it takes; ``scratch`` is a second such buffer of the block's shape, free
-    for the callback to overwrite. Both are valid only during the call. After
-    an error no further block starts, and the lowest failing block's error is
+    A block holds about ``block_scores`` (``_BLOCK_SCORES``) scores, at least
+    one row. Each thread has the source fill the blocks it takes into one
+    buffer that it reuses (a matrix in memory hands out views of its rows; for
+    v2t, ``matrix.T`` copies its columns, so no transposed matrix is made).
+    ``scratch`` is a second such buffer of the block's shape, free for the
+    callback to overwrite. Both are valid only during the call. After an
+    error no further block starts, and the lowest failing block's error is
     raised, as a serial loop raises it.
     """
-    bounds = _block_bounds(values)
+    bounds = _block_bounds(source, block_scores)
     pending = iter(bounds)
     lock = threading.Lock()
     errors = {}
-    shape = (bounds[0][1] - bounds[0][0] if bounds else 0, values.shape[1])
-    if not isinstance(values, np.ndarray):
-        fill = values.blocks(shape[0])
-    elif values.flags.c_contiguous:
-        fill = None
-    else:
-        def fill(start, stop, out):
-            np.copyto(out, values[start:stop])
+    rows = bounds[0][1] if bounds else 1
+    # one block and one scratch buffer per thread, allocated here, as numpy's
+    # first use must be on this thread: fresh block-sized temporaries can each
+    # cost a new mmap and its page faults
+    workers = max(1, min(_WORKERS, len(bounds)))
+    buffers = [np.empty((2, min(rows, source.shape[0]), source.shape[1])) for _ in range(workers)]
 
-    def work():
-        # allocated once per thread: fresh block-sized temporaries can each
-        # cost a new mmap and its page faults
-        copy = None if fill is None else np.empty(shape, values.dtype)
-        scratch = np.empty(shape, values.dtype)
+    def work(block, scratch):
         while not errors:
             with lock:
                 start, stop = next(pending, (None, None))
             if start is None:
                 return
             try:
-                if fill is None:
-                    scores = values[start:stop]
-                else:
-                    scores = copy[: stop - start]
-                    fill(start, stop, scores)
+                scores = fill(start, stop, block[: stop - start])
                 score(start, stop, scores, scratch[: stop - start])
             except BaseException as error:
                 errors[start] = error
 
-    threads = [threading.Thread(target=work) for _ in range(min(_WORKERS, len(bounds)) - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
+    threads = [threading.Thread(target=work, args=tuple(buffer)) for buffer in buffers[1:]]
+    with source.blocks(rows) as fill:
+        for thread in threads:
+            thread.start()
+        work(*buffers[0])
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[min(errors)]
 
@@ -205,19 +197,20 @@ def recall_at_k(ranks, k: int) -> float:
     return sum(1 for r in ranks if r <= k) / len(ranks)
 
 
-def _scan(values, relevance, threshold=1.0, depth=None, gt=None):
+def _scan(source, relevance, threshold=1.0, depth=None, gt=None):
     """Per-query nDCG and AP and the index-tie, optimistic and pessimistic ranks
     of gallery indices ``gt``. nDCG is NaN where the ideal DCG is not positive
     (negative dense relevance can cancel it), AP where nothing reaches the
     threshold.
 
-    ``relevance`` is a dense matrix oriented like ``values``, or the verb and
+    ``source`` is a block source of the scores. ``relevance`` is a dense
+    array oriented like it, or the verb and
     noun codes ``(qv, qn, gv, gn)`` of queries and gallery; the ideal DCG of
     class relevance comes in closed form from its counts of 1.0 and 0.5.
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    nq, ng = values.shape
+    nq, ng = source.shape
     depth = ng if depth is None else min(depth, ng)
     disc = np.zeros(ng + 1)  # discount at each rank; zero past the depth
     disc[1 : depth + 1] = 1.0 / np.log2(np.arange(2, depth + 2))
@@ -254,7 +247,7 @@ def _scan(values, relevance, threshold=1.0, depth=None, gt=None):
             at = np.flatnonzero(col == gt[start:stop][row])
             ranks[:, start:stop] = rank[at], left[at] + 1, right[at]
 
-    _each_block(values, score)
+    _each_block(source, score)
     return ndcg, ap, ranks
 
 
@@ -277,7 +270,8 @@ def _query_metric(sim_row, rel_row, metric: int, **options) -> float:
         bad = np.flatnonzero(~np.isfinite(row))
         if bad.size:
             raise ShapeMismatchError(f"{name} row values must all be finite: {row[bad[0]]} at position {bad[0]}")
-    return _mean(_scan(scores[None, :], rels[None, :], **options)[metric], metric)
+    sim = SimilarityMatrix(rows=("",), cols=tuple(map(str, range(scores.size))), values=scores[None, :])
+    return _mean(_scan(sim, rels[None, :], **options)[metric], metric)
 
 
 def ndcg_query(sim_row, rel_row, depth: int | None = None) -> float:
@@ -298,7 +292,7 @@ def _dense_average(sim, rel, direction: str, metric: int, **options) -> float:
     if direction == "avg":
         t2v = _dense_average(sim, rel, "t2v", metric, **options)
         return 0.5 * (t2v + _dense_average(sim, rel, "v2t", metric, **options))
-    pair = (sim.values, rel.values) if direction == "t2v" else (sim.values.T, rel.values.T)
+    pair = (sim, rel.values) if direction == "t2v" else (sim.T, rel.values.T)
     return _mean(_scan(*pair, **options)[metric], metric)
 
 
@@ -340,16 +334,19 @@ class InspectEntry:
     relevance: float
 
 
-def inspect_query(sim: SimilarityMatrix, dataset: Dataset, query_id: str, k: int) -> list[InspectEntry]:
-    """Top-k retrieved gallery clips with metadata, for eyeballing a query."""
+def inspect_query(sim, dataset: Dataset, query_id: str, k: int) -> list[InspectEntry]:
+    """Top-k retrieved gallery clips with metadata, for eyeballing a query.
+    Of a block source (a matrix, an open SIMM file), only the query's row is read."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if query_id not in sim.row_index:
+    if query_id not in sim.rows:
         raise NotFoundError(f"query id {query_id!r} not present in matrix rows")
     query_clip = dataset.by_id.get(query_id)
     if query_clip is None:
         raise NotFoundError(f"query id {query_id!r} does not resolve to a clip")
-    row = sim.values[sim.row_index[query_id]]
+    i = sim.rows.index(query_id)
+    with sim.blocks(1) as fill:
+        row = fill(i, i + 1, np.empty((1, len(sim.cols))))[0]
     out = []
     for j in ranking(row)[:k]:
         clip = _gallery_clip(sim, dataset, j)
@@ -402,31 +399,28 @@ def _direction_metrics(ndcg, ap, all_ranks, has_gt) -> DirectionMetrics:
     )
 
 
-def metrics_report(
-    sim: SimilarityMatrix | SimmReader, dataset: Dataset, threshold: float = 1.0, depth: int | None = None
-) -> MetricsReport:
+def metrics_report(sim, dataset: Dataset, threshold: float = 1.0, depth: int | None = None) -> MetricsReport:
     """Full two-direction evaluation of a similarity matrix against a dataset.
 
     Relevance comes from the clips' action classes; the ground-truth gallery
-    item of a query is the entry with the same id on the other axis. An open
-    SIMM file is scored block by block as it is read.
+    item of a query is the entry with the same id on the other axis. ``sim``
+    is any block source (see ``matrices``): an open SIMM file is scored block
+    by block as it is read.
     """
     for side, ids in (("row", sim.rows), ("column", sim.cols)):
         missing = next((i for i in ids if i not in dataset.by_id), None)
         if missing is not None:
             # a file's non-finite value is named first, as loading it names it
-            _each_block(sim.values, lambda *block: None)
+            _each_block(sim, lambda *block: None)
             raise NotFoundError(f"matrix {side} id {missing!r} does not resolve to a clip")
     if not sim.rows or not sim.cols:
         raise ValueError("query and gallery class lists must be non-empty")
     rows, cols = (_codes([dataset.by_id[i] for i in ids]) for ids in (sim.rows, sim.cols))
     directions = []
-    for values, queries, gallery, query_codes, gallery_codes in (
-        (sim.values, sim.rows, sim.col_index, rows, cols),
-        (sim.values.T, sim.cols, sim.row_index, cols, rows),
-    ):
-        gt = np.array([gallery.get(q, -1) for q in queries])
-        scan = _scan(values, (*query_codes, *gallery_codes), threshold, depth, np.maximum(gt, 0))
+    for source, query_codes, gallery_codes in ((sim, rows, cols), (sim.T, cols, rows)):
+        gallery = {g: j for j, g in enumerate(source.cols)}
+        gt = np.array([gallery.get(q, -1) for q in source.rows])
+        scan = _scan(source, (*query_codes, *gallery_codes), threshold, depth, np.maximum(gt, 0))
         directions.append(_direction_metrics(*scan, gt >= 0))
     t2v, v2t = directions
     return MetricsReport(t2v, v2t, 0.5 * (t2v.ndcg + v2t.ndcg), 0.5 * (t2v.map + v2t.map))

@@ -12,7 +12,10 @@ filtered train set mimics retraining after debiasing.
 No embedding is materialised: per test clip, a class index, a caption bucket
 and a clip bucket give the class and bucket matches, the noise-free score is
 a lookup in a 4-entry table by (class match, bucket match), and each
-caption's noise is added as two rows of the transposed noise matrix.
+caption's noise is added as two rows of the transposed noise matrix. Nor is a
+sweep's matrix: each condition is a block source (``_Synthesis``) whose row
+blocks are built, written and scored in one pass, and a seed's conditions
+build their shared test-side inputs and the noise once.
 
 The noise stream is a fixed function of the seed and matrix shape, not of
 the train reference, so regenerating similarities after filtering changes
@@ -25,18 +28,21 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
+from framebias import metrics
 from framebias._numpy import np
 from framebias.audit import class_stats
 from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
-from framebias.matrices import SimilarityMatrix
+from framebias.matrices import SimilarityMatrix, SimmWriter, _Transposed
 from framebias.metrics import _block_bounds, _each_block, gt_ranks, recall_at_k, top_k
 
 GENERATOR_ID = "numpy-default-rng-pcg64"
 _NOISE_STREAM = 0x6E6F6973  # keeps clip noise independent of the length draws
+_NOISE_BAND = 1 << 16  # noise values drawn at once
 
 
 @dataclass(frozen=True)
@@ -145,38 +151,138 @@ def _bucketer(config: SimConfig, lengths) -> tuple:
     return bucket, lo, hi
 
 
-def _match_components(dataset: Dataset, config: SimConfig, train_reference: Dataset):
-    """Per-clip codes (``qi``: class index, ``qb``/``cb``: caption/clip bucket)
-    and provenance; caption i matches clip j on class where ``qi[i] == qi[j]``
-    and on length where ``qb[i] == cb[j]``."""
-    test_clips = dataset.split_clips("test")
-    if not test_clips:
-        raise DegenerateInputError("dataset has no test clips to embed")
+class _Shared:
+    """What every condition of one dataset shares: its test clips' ids,
+    lengths and classes, and, built once per key they depend on, the
+    test-side codes and the noise."""
+
+    def __init__(self, dataset: Dataset, config: SimConfig) -> None:
+        clips = dataset.split_clips("test")
+        if not clips:
+            raise DegenerateInputError("dataset has no test clips to embed")
+        self.config = config
+        self.ids = tuple(c.clip_id for c in clips)
+        self.lengths = [frame_length(c) for c in clips]
+        self.classes = [class_of(c) for c in clips]
+        self._built = {}
+
+    def once(self, key, build):
+        """``build()``'s result, made on the first call with ``key`` only."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+
+class _Synthesis:
+    """One condition's similarity matrix as a block source (see
+    ``matrices``), from the (class index, bucket) codes of its captions and
+    clips: a block's noise-free scores are a lookup in ``table`` by (class
+    match, bucket match), and each caption adds its two ``noise`` terms, a
+    weight times a row of the transposed noise. Every value takes the same
+    operations whatever block holds it, so it is the same bit for bit however
+    the rows are blocked."""
+
+    def __init__(self, rows, cols, captions, clips, table, noise_t, noise) -> None:
+        self.rows, self.cols, self.shape = rows, cols, (len(rows), len(cols))
+        self.captions, self.clips = captions, clips  # (class indices, buckets) of the rows, of the columns
+        self.table, self.noise_t, self.noise = table, noise_t, noise
+
+    def taking(self, rows) -> _Synthesis:
+        """The source of the captions at indices ``rows`` alone."""
+        ids = tuple(self.rows[i] for i in rows)
+        captions = tuple(codes[rows] for codes in self.captions)
+        noise = tuple((weight, dims[rows]) for weight, dims in self.noise)
+        return _Synthesis(ids, self.cols, captions, self.clips, self.table, self.noise_t, noise)
+
+    @property
+    def T(self) -> _Transposed:
+        return _Transposed(self)
+
+    @contextmanager
+    def blocks(self, rows: int):
+        yield lambda start, stop, out: self._fill(start, stop, out, False)
+
+    @contextmanager
+    def _column_blocks(self, rows: int):
+        yield lambda start, stop, out: self._fill(start, stop, out, True)
+
+    def _fill(self, start: int, stop: int, out: np.ndarray, columns: bool) -> np.ndarray:
+        """Rows ``start:stop`` of the matrix, or of its transpose, into ``out``."""
+        (own_class, own_bucket), (class_, bucket) = (self.clips, self.captions) if columns else (self.captions, self.clips)
+        code = (own_class[start:stop, None] == class_).view(np.uint8)
+        code += 2 * (own_bucket[start:stop, None] == bucket).view(np.uint8)
+        self.table.take(code, out=out, mode="clip")  # codes are 0-3; "clip" writes out unbuffered
+        if self.noise_t is not None:
+            for weight, dims in self.noise:
+                term = self.noise_t[dims, start:stop].T if columns else self.noise_t[dims[start:stop]]
+                term *= weight
+                out += term
+                del term  # or the next gather would allocate beside it
+        return out
+
+
+def _match_components(shared: _Shared, train_reference: Dataset):
+    """The class count, per-clip codes (``qi``: class index, ``qb``/``cb``:
+    caption/clip bucket) and provenance of one condition; caption i matches
+    clip j on class where ``qi[i] == qi[j]`` and on length where
+    ``qb[i] == cb[j]``."""
     ref_train = train_reference.split_clips("train")
     if not ref_train:
         raise DegenerateInputError("train reference has no train clips")
 
     ref_means = {s.action_class: s.train_mean_len for s in class_stats(train_reference) if s.train_count}
     ref_lengths = [frame_length(c) for c in ref_train]
-    test_lengths = [frame_length(c) for c in test_clips]
     global_mean = sum(ref_lengths) / len(ref_train)
-    bucket, lo, hi = _bucketer(config, ref_lengths + test_lengths)
+    bucket, lo, hi = _bucketer(shared.config, ref_lengths + shared.lengths)
 
-    classes = [class_of(c) for c in test_clips]
-    class_idx = {ac: i for i, ac in enumerate(sorted({*classes, *train_reference.index}))}
-    first_seen = dict.fromkeys(classes)
-    fallback = [str(ac) for ac in first_seen if ac not in ref_means]
-    codes = {ac: (class_idx[ac], bucket(ref_means.get(ac, global_mean))) for ac in first_seen}
-    qi, qb = np.array([codes[ac] for ac in classes]).T
-    cb = np.array([bucket(x) for x in test_lengths])
+    classes = shared.classes
+    known = tuple(sorted({*classes, *train_reference.index}))
+
+    def class_indices():
+        index = {ac: i for i, ac in enumerate(known)}
+        return np.array([index[ac] for ac in classes])
+
+    qi = shared.once(("class indices", known), class_indices)
+    caption_bucket = {ac: bucket(ref_means.get(ac, global_mean)) for ac in dict.fromkeys(classes)}
+    qb = np.array([caption_bucket[ac] for ac in classes])
+    cb = shared.once(("clip buckets", lo, hi), lambda: np.array([bucket(x) for x in shared.lengths]))
     provenance = {
         "generator": GENERATOR_ID,
         "bucket_low": lo,
         "bucket_high": hi,
-        "fallback_classes": fallback,
-        "config": dict(vars(config)),
+        "fallback_classes": [str(ac) for ac in caption_bucket if ac not in ref_means],
+        "config": dict(vars(shared.config)),
     }
-    return test_clips, len(class_idx), qi, qb, cb, provenance
+    return len(known), qi, qb, cb, provenance
+
+
+def _synthesis(shared: _Shared, train_reference: Dataset) -> tuple[_Synthesis, dict]:
+    config = shared.config
+    num_classes, qi, qb, cb, provenance = _match_components(shared, train_reference)
+    lam = config.bias_strength
+    a, b = (1.0 - lam) ** 2, lam**2
+    # a * class_match + b * bucket_match at each (class, bucket) match pair
+    table = np.array([0.0, a, b, a + b])
+    noise_t = None
+    if config.noise_stddev > 0:
+        # one noise coordinate per embedding dimension of each test clip;
+        # caption i adds clip j's coordinates at its class and bucket dims
+        shape = (len(qi), num_classes + config.num_len_buckets)
+
+        def draw():
+            # drawn a band of clips at a time, which continues the one stream a
+            # single draw of the whole shape gives, so no second copy is held
+            rng = np.random.default_rng([config.seed, _NOISE_STREAM])
+            noise_t = np.empty(shape[::-1])
+            step = max(1, _NOISE_BAND // shape[1])
+            for start in range(0, shape[0], step):
+                stop = min(start + step, shape[0])
+                noise_t[:, start:stop] = rng.normal(0.0, config.noise_stddev, size=(stop - start, shape[1])).T
+            return noise_t
+
+        noise_t = shared.once(("noise", shape), draw)
+    noise = ((1.0 - lam, qi), (lam, qb + num_classes))
+    return _Synthesis(shared.ids, shared.ids, (qi, qb), (qi, cb), table, noise_t, noise), provenance
 
 
 def synth_similarity(
@@ -186,35 +292,16 @@ def synth_similarity(
 
     ``train_reference`` supplies the per-class train mean lengths; a class
     missing there falls back to the global train mean (noted in provenance).
-    The matrix is filled block of rows by block of rows, so besides it only
-    the noise and one block's scratch are held.
+    The blocks of the condition's source are collected into the matrix, so
+    besides it only the noise and one block's scratch are held.
     """
-    test_clips, num_classes, qi, qb, cb, provenance = _match_components(dataset, config, train_reference)
-    lam = config.bias_strength
-    a, b = (1.0 - lam) ** 2, lam**2
-    # a * class_match + b * bucket_match at each (class, bucket) match pair
-    table = np.array([0.0, a, b, a + b])
-    noise_t = None
-    if config.noise_stddev > 0:
-        # one noise coordinate per embedding dimension of each test clip;
-        # caption i adds clip j's coordinates at its class and bucket dims
-        rng = np.random.default_rng([config.seed, _NOISE_STREAM])
-        dim = num_classes + config.num_len_buckets
-        noise_t = rng.normal(0.0, config.noise_stddev, size=(len(test_clips), dim)).T.copy()
-    values = np.empty((len(test_clips), len(test_clips)))
-    for start, stop in _block_bounds(values):
-        block = values[start:stop]
-        code = (qi[start:stop, None] == qi).view(np.uint8) + 2 * (qb[start:stop, None] == cb).view(np.uint8)
-        table.take(code, out=block, mode="clip")  # codes are 0-3; "clip" writes out unbuffered
-        if noise_t is not None:
-            for weight, dims in ((1.0 - lam, qi[start:stop]), (lam, qb[start:stop] + num_classes)):
-                term = noise_t[dims]
-                term *= weight
-                block += term
-                del term  # or the next gather would allocate beside it
-
-    ids = tuple(c.clip_id for c in test_clips)
-    return SimilarityMatrix(rows=ids, cols=ids, values=values), provenance
+    source, provenance = _synthesis(_Shared(dataset, config), train_reference)
+    values = np.empty(source.shape)
+    bounds = _block_bounds(source)
+    with source.blocks(bounds[0][1]) as fill:
+        for start, stop in bounds:
+            fill(start, stop, values[start:stop])
+    return SimilarityMatrix(rows=source.rows, cols=source.cols, values=values), provenance
 
 
 def simulate(config: SimConfig) -> SimOutput:
@@ -237,24 +324,24 @@ class SweepRow:
     mean_topk_len: float
 
 
-def _condition_metrics(sim: SimilarityMatrix, dataset: Dataset, topk: int, row_indices=None):
-    """Mean GT rank, recall@10 and mean top-k gallery length over the queries.
+def _condition_metrics(source, gt: np.ndarray, lengths: np.ndarray, topk: int):
+    """Mean GT rank, recall@10 and mean top-k gallery length over the queries
+    of a block source, scored block by block.
 
-    A query's ground truth is the gallery clip with its own id; its top-k
-    length is an integer sum over k.
+    ``gt`` holds each query's ground-truth column (the gallery clip with its
+    own id) and ``lengths`` each gallery clip's length, so a top-k length is
+    an integer sum over k.
     """
-    rows = range(len(sim.rows)) if row_indices is None else list(row_indices)
-    values = sim.values if row_indices is None else sim.values[rows]
-    gt = np.array([sim.col_index[sim.rows[i]] for i in rows], dtype=np.int64)
-    lengths = np.array([frame_length(dataset.by_id[c]) for c in sim.cols], dtype=np.int64)
-    k = min(topk, len(sim.cols))
+    k = min(topk, source.shape[1])
     ranks, topk_sums = np.empty((2, len(gt)), dtype=np.int64)
 
     def score(start, stop, scores, _scratch):
         ranks[start:stop] = gt_ranks(scores, gt[start:stop])
         topk_sums[start:stop] = lengths[top_k(scores, k)].sum(axis=1)
 
-    _each_block(values, score)
+    # half eval's blocks: building a block and partitioning its top k each
+    # hold a block-sized temporary beside it, and smaller blocks sweep no slower
+    _each_block(source, score, metrics._BLOCK_SCORES // 2)
     ranks, topk_means = ranks.tolist(), (topk_sums / k).tolist()
     return sum(ranks) / len(ranks), recall_at_k(ranks, 10), sum(topk_means) / len(topk_means)
 
@@ -266,9 +353,14 @@ def bias_sweep(
 
     Per seed: generate data, score with the unfiltered train reference, then
     for each alpha filter the train side, re-derive similarities against the
-    filtered reference, and score again. ``on_condition(seed, alpha, dataset,
-    reference, sim)`` is called per cell (alpha None = baseline), e.g. to
-    write the generated annotation and matrix files.
+    filtered reference, and score again. No matrix is held whole: each is
+    built and scored a block of rows at a time.
+
+    ``on_condition(seed, alpha, dataset, reference)`` is called per cell
+    (alpha None = baseline) for a context manager that is entered while the
+    cell is scored. It gives None or a seekable binary file, to which the
+    cell's matrix is written as SIMM block by block (see ``SimmWriter``); an
+    error in the cell leaves the manager by it.
     """
     alphas = list(alphas)
     seeds = list(seeds)
@@ -279,20 +371,23 @@ def bias_sweep(
     configs = [replace(config, seed=seed) for seed in seeds]
     filters = [FilterConfig(alpha=alpha, min_class_size=min_class_size) for alpha in alphas]
 
-    def condition(cfg, dataset, alpha, reference):
-        # the matrix is dropped on return: no condition's matrix outlives its scoring
-        sim, _ = synth_similarity(dataset, cfg, reference)
-        if on_condition is not None:
-            on_condition(cfg.seed, alpha, dataset, reference, sim)
-        return _condition_metrics(sim, dataset, topk)
-
     rows = []
     for cfg in configs:
         dataset = synth_dataset(cfg)
-        rows.append(SweepRow(cfg.seed, None, 0, 0, *condition(cfg, dataset, None, dataset)))
+        shared = _Shared(dataset, cfg)
+        gt = np.arange(len(shared.ids))  # the rows and the columns are the same clips
+        lengths = np.array(shared.lengths, dtype=np.int64)
+
+        def condition(alpha, reference):
+            source, _ = _synthesis(shared, reference)
+            cell = nullcontext() if on_condition is None else on_condition(cfg.seed, alpha, dataset, reference)
+            with cell as fh:
+                return _condition_metrics(source if fh is None else SimmWriter(source, fh), gt, lengths, topk)
+
+        rows.append(SweepRow(cfg.seed, None, 0, 0, *condition(None, dataset)))
         for alpha, filter_config in zip(alphas, filters):
             filtered, report = filter_margin(dataset, filter_config)
-            scores = condition(cfg, dataset, alpha, filtered)
+            scores = condition(alpha, filtered)
             rows.append(SweepRow(cfg.seed, alpha, report.removed_count, report.classes_touched, *scores))
     return rows
 
@@ -318,17 +413,18 @@ def single_class_ablation(
     for seed in seeds:
         cfg = replace(config, seed=seed)
         dataset = synth_dataset(cfg)
-        sim0, _ = synth_similarity(dataset, cfg, dataset)
-        targets = [
-            i for i, rid in enumerate(sim0.rows) if class_of(dataset.by_id[rid]) == action_class
-        ]
+        shared = _Shared(dataset, cfg)
+        lengths = np.array(shared.lengths, dtype=np.int64)
+        source, _ = _synthesis(shared, dataset)
+        targets = [i for i, ac in enumerate(shared.classes) if ac == action_class]
         if not targets:
             raise DegenerateInputError(f"no test queries of class {action_class}")
-        mean_rank, _, mean_len = _condition_metrics(sim0, dataset, topk, targets)
+        gt = np.array(targets)  # the rows of the class's captions alone are scored
+        mean_rank, _, mean_len = _condition_metrics(source.taking(targets), gt, lengths, topk)
         rows.append(AblationRow(seed, "baseline", mean_rank, mean_len))
         for mode in ("remove_long", "remove_short"):
             filtered, _ = filter_single_class(dataset, action_class, mode, fraction)
-            sim1, _ = synth_similarity(dataset, cfg, filtered)
-            mean_rank, _, mean_len = _condition_metrics(sim1, dataset, topk, targets)
+            source, _ = _synthesis(shared, filtered)
+            mean_rank, _, mean_len = _condition_metrics(source.taking(targets), gt, lengths, topk)
             rows.append(AblationRow(seed, mode, mean_rank, mean_len))
     return rows

@@ -96,6 +96,7 @@ def test_every_block_is_scored_once_under_frequent_switches(monkeypatch):
     monkeypatch.setattr(metrics, "_WORKERS", 8)  # more threads than cores
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 2)  # one row per block
     values = np.arange(600.0).reshape(300, 2)
+    matrix = SimilarityMatrix(rows=tuple(map(str, range(300))), cols=("a", "b"), values=values)
     scored = []
 
     def score(start, stop, scores, scratch):
@@ -104,7 +105,7 @@ def test_every_block_is_scored_once_under_frequent_switches(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=metrics._each_block, args=(values, score))
+        runner = threading.Thread(target=metrics._each_block, args=(matrix, score))
         runner.start()
         runner.join(timeout=60)
     finally:
@@ -174,8 +175,10 @@ def test_report_is_bit_identical_on_one_and_two_threads(monkeypatch, block_score
 def test_blocks_are_views_or_one_reused_buffer_per_thread(monkeypatch):
     monkeypatch.setattr(metrics, "_WORKERS", 1)
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 60)  # three 20-wide rows per block
-    values = np.random.default_rng(0).normal(size=(20, 20))
-    for matrix in (values, values.T):
+    ids = tuple(f"c{i}" for i in range(20))
+    sim = SimilarityMatrix(rows=ids, cols=ids, values=np.random.default_rng(0).normal(size=(20, 20)))
+    values = sim.values
+    for source, matrix in ((sim, values), (sim.T, values.T)):
         blocks = []
 
         def score(start, stop, scores, scratch):
@@ -183,7 +186,7 @@ def test_blocks_are_views_or_one_reused_buffer_per_thread(monkeypatch):
             blocks.append((start, scores.ctypes.data, np.shares_memory(scores, values), scratch.ctypes.data))
             scratch[...] = np.nan  # the callback may overwrite its scratch
 
-        metrics._each_block(matrix, score)
+        metrics._each_block(source, score)
         assert [start for start, _, _, _ in blocks] == list(range(0, 20, 3))
         assert len({scratch for _, _, _, scratch in blocks}) == 1
         if matrix is values:  # t2v rows: views into the matrix

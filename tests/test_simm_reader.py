@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framebias import cli, matrices, metrics
@@ -66,7 +66,6 @@ def work(tmp_path_factory):
 def test_eval_of_a_damaged_file_matches_loading_it(work, simm, data):
     matrix, blob = simm
     ids = dict.fromkeys(matrix.rows + matrix.cols)
-    assume(not any("\r" in id_ for id_ in ids))  # the CSV writer leaves a lone "\r" unquoted
     write_annotations(work / "ann.csv", ids)
     damage = data.draw(st.sampled_from(["cut", "pad", "bytes", "none"]))
     if damage == "cut":
@@ -138,7 +137,7 @@ def test_a_file_that_shrinks_after_it_is_opened(tmp_path, monkeypatch, workers):
         with pytest.raises(AnnotationParseError, match=f"^{path}: SIMM values ended early"):
             metrics.metrics_report(reader, dataset)
         # every group read fails: no thread may wait for a group that is never read
-        runner = threading.Thread(target=report, args=(reader.values.T,))
+        runner = threading.Thread(target=report, args=(reader.T,))
         runner.start()
         runner.join(timeout=60)
     assert not runner.is_alive()
@@ -162,7 +161,7 @@ def test_every_transposed_block_is_read_once_under_frequent_switches(tmp_path, m
     sys.setswitchinterval(1e-6)
     try:
         with open_matrix(tmp_path / "m.simm") as reader:
-            runner = threading.Thread(target=metrics._each_block, args=(reader.values.T, score))
+            runner = threading.Thread(target=metrics._each_block, args=(reader.T, score))
             runner.start()
             runner.join(timeout=60)
     finally:

@@ -1,5 +1,6 @@
+import io
 import math
-import weakref
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +13,13 @@ from framebias.audit import global_length_summary
 from framebias.dataset import ActionClass, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
+from framebias.matrices import to_binary
 from framebias.metrics import gt_rank, topk_avg_length
 from framebias.simulate import (
     _NOISE_STREAM,
     SimConfig,
     _match_components,
+    _Shared,
     bias_sweep,
     class_for_index,
     simulate,
@@ -167,7 +170,7 @@ class TestSynthSimilarity:
         cfg = SimConfig(num_classes=4, train_per_class=5, test_per_class=3,
                         noise_stddev=0.0, seed=8, class_len_spread=100)
         ds = synth_dataset(cfg)
-        _, _, qi, qb, cb, _ = _match_components(ds, cfg, ds)
+        _, qi, qb, cb, _ = _match_components(_Shared(ds, cfg), ds)
         class_match, bucket_match = qi[:, None] == qi, qb[:, None] == cb
         # a length term that matches everywhere or nowhere would say nothing
         assert bucket_match.any() and not bucket_match.all()
@@ -274,7 +277,7 @@ def n2_similarity(dataset, config, train_reference):
     """The matrix as built whole: N x N class- and bucket-match matrices, one
     table lookup over all of them, then each row's noise from two scaled
     copies of the transposed noise."""
-    test_clips, num_classes, qi, qb, cb, _ = _match_components(dataset, config, train_reference)
+    num_classes, qi, qb, cb, _ = _match_components(_Shared(dataset, config), train_reference)
     lam = config.bias_strength
     a, b = (1.0 - lam) ** 2, lam**2
     table = np.array([0.0, a, b, a + b])
@@ -284,7 +287,7 @@ def n2_similarity(dataset, config, train_reference):
     if config.noise_stddev > 0:
         rng = np.random.default_rng([config.seed, _NOISE_STREAM])
         dim = num_classes + config.num_len_buckets
-        noise_t = rng.normal(0.0, config.noise_stddev, size=(len(test_clips), dim)).T.copy()
+        noise_t = rng.normal(0.0, config.noise_stddev, size=(len(qi), dim)).T.copy()
         class_noise, bucket_noise = (1.0 - lam) * noise_t, lam * noise_t
         for row, c, k in zip(values, qi.tolist(), (qb + num_classes).tolist()):
             row += class_noise[c]
@@ -406,24 +409,71 @@ class TestSweep:
                        on_condition=lambda *args: calls.append(args))
         assert calls == []
 
-    def test_no_condition_matrix_outlives_its_scoring(self):
+    def test_no_condition_matrix_outlives_its_scoring(self, monkeypatch):
         cfg = SimConfig(num_classes=3, train_per_class=6, test_per_class=2, seed=0)
-        matrices, alive = [], []
+        events = []
 
-        def record(seed, alpha, ds, ref, sim):
-            alive.append([earlier for earlier, matrix in matrices if matrix() is not None])
-            matrices.append((alpha, weakref.ref(sim)))
+        @contextmanager
+        def record(seed, alpha, ds, ref):
+            events.append(("enter", alpha))
+            yield None
+            events.append(("exit", alpha))
 
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("the sweep built a whole matrix")
+
+        monkeypatch.setattr("framebias.simulate.SimilarityMatrix", no_matrix)
         bias_sweep(cfg, alphas=[5.0, 10.0], seeds=[0, 1], min_class_size=2, on_condition=record)
-        # the baseline's and each earlier condition's matrix are freed before the next is built
-        assert alive == [[]] * 6
+        # no matrix is ever built, and each condition is scored inside its own hook
+        assert events == [(event, alpha) for alpha in (None, 5.0, 10.0) for event in ("enter", "exit")] * 2
 
     def test_callback_sees_every_condition(self):
         cfg = SimConfig(num_classes=3, train_per_class=6, test_per_class=2, seed=0)
         calls = []
         bias_sweep(cfg, alphas=[5.0], seeds=[0, 1], min_class_size=2,
-                   on_condition=lambda seed, alpha, ds, ref, sim: calls.append((seed, alpha)))
+                   on_condition=lambda seed, alpha, ds, ref: calls.append((seed, alpha)) or nullcontext())
         assert calls == [(0, None), (0, 5.0), (1, None), (1, 5.0)]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_written_matrix_is_the_collected_one(self, monkeypatch, workers):
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        monkeypatch.setattr(metrics, "_BLOCK_SCORES", 256)  # ten blocks of a 48-wide matrix
+        cfg = SimConfig(num_classes=12, train_per_class=12, test_per_class=4, class_len_spread=300.0)
+        written = {}
+
+        @contextmanager
+        def keep(seed, alpha, ds, ref):
+            buf = io.BytesIO()
+            yield buf
+            written[seed, alpha] = (buf.getvalue(), ds, ref)
+
+        rows = bias_sweep(cfg, [0.0, 20.0], [0, 1], min_class_size=4, topk=5, on_condition=keep)
+        assert rows == bias_sweep(cfg, [0.0, 20.0], [0, 1], min_class_size=4, topk=5)
+        assert list(written) == [(row.seed, row.alpha) for row in rows]
+        for (seed, _), (blob, ds, ref) in written.items():
+            sim, _ = synth_similarity(ds, replace(cfg, seed=seed), ref)
+            assert blob == to_binary(sim)
+
+    def test_a_failed_condition_leaves_its_hook_by_the_error(self):
+        cfg = SimConfig(num_classes=3, train_per_class=6, test_per_class=2, seed=0)
+        outcomes = []
+
+        class FullDisk(io.BytesIO):
+            def write(self, data):
+                raise OSError("disk full")
+
+        @contextmanager
+        def record(seed, alpha, ds, ref):
+            try:
+                yield FullDisk()
+            except OSError as error:
+                outcomes.append((alpha, str(error)))
+                raise
+            outcomes.append((alpha, None))
+
+        with pytest.raises(OSError, match="disk full"):
+            bias_sweep(cfg, alphas=[5.0], seeds=[0], min_class_size=2, on_condition=record)
+        assert outcomes == [(None, "disk full")]
 
 
 class TestAblation:

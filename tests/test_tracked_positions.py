@@ -238,6 +238,14 @@ def condition_case(values, lengths):
     return SimilarityMatrix(rows=ids, cols=ids, values=values), dataset
 
 
+def condition_metrics(sim, lengths, topk, rows=None):
+    """``_condition_metrics`` of the queries ``rows`` (all by default) of a
+    ``condition_case`` matrix, where query i's ground truth is column i."""
+    rows = list(range(len(sim.rows)) if rows is None else rows)
+    queries = SimilarityMatrix(rows=tuple(sim.rows[i] for i in rows), cols=sim.cols, values=sim.values[rows])
+    return _condition_metrics(queries, np.array(rows), np.array(lengths), topk)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 40),
@@ -249,9 +257,9 @@ def test_condition_metrics_on_tie_heavy_matrices(seed, n, topk, subset):
     rng = np.random.default_rng(seed)
     values = tie_heavy(rng, (n, n))
     lengths = rng.integers(1, 200, size=n).tolist()
-    sim, dataset = condition_case(values, lengths)
+    sim, _ = condition_case(values, lengths)
     rows = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()) if subset else range(n)
-    got = _condition_metrics(sim, dataset, topk, rows if subset else None)
+    got = condition_metrics(sim, lengths, topk, rows if subset else None)
     assert got == naive_condition(values.tolist(), lengths, topk, rows)
 
 
@@ -272,8 +280,8 @@ def test_condition_metrics_with_gt_and_cut_ties_in_one_block(monkeypatch, worker
         [0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
     ])
     lengths = [10, 20, 40, 80, 160, 320]
-    sim, dataset = condition_case(values, lengths)
-    assert _condition_metrics(sim, dataset, topk) == naive_condition(values.tolist(), lengths, topk, range(6))
+    sim, _ = condition_case(values, lengths)
+    assert condition_metrics(sim, lengths, topk) == naive_condition(values.tolist(), lengths, topk, range(6))
 
 
 @given(
@@ -289,9 +297,9 @@ def test_condition_metrics_on_small_blocks_and_threads(seed, n, extra, workers, 
     values = rng.choice([0.0, 0.5, 1.0], size=(n, n))
     lengths = rng.integers(1, 200, size=n).tolist()
     topk = max(1, n + extra)  # from 1 up to past n
-    sim, dataset = condition_case(values, lengths)
+    sim, _ = condition_case(values, lengths)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metrics, "_WORKERS", workers)
         patch.setattr(metrics, "_BLOCK_SCORES", block_scores)
-        got = _condition_metrics(sim, dataset, topk)
+        got = condition_metrics(sim, lengths, topk)
     assert got == naive_condition(values.tolist(), lengths, topk, range(n))
