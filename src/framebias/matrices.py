@@ -10,13 +10,13 @@ Two interchangeable serializations:
   prefixed ids).
 
 Every matrix is read, written and scored as a *block source*: ``rows``,
-``cols``, ``shape``, ``T`` (its transpose, also a source) and
-``blocks(rows)``, a context manager giving ``fill(start, stop, out)``. That
-returns rows ``start:stop`` (``start`` a multiple of ``rows``), written into
-the C-contiguous ``out`` or as a view where they are held so, and refuses a
-non-finite value; several threads may fill at once. A ``SimilarityMatrix``,
-an open SIMM file (``SimmReader``) and the simulator's per-condition
-generator provide it.
+``cols``, ``shape`` and ``blocks(rows)``, a context manager giving
+``fill(start, stop, out)``. That returns rows ``start:stop`` (``start`` a
+multiple of ``rows``), written into the C-contiguous ``out`` or as a view
+where they are held so, and refuses a non-finite value; several threads may
+fill at once. A ``SimilarityMatrix``, an open SIMM file (``SimmReader``) and
+the simulator's per-condition generator provide it; the first two also give
+``T``, their transpose as a source, which eval scores for v2t.
 
 A text matrix is read row by row, from a pipe too, into an array that grows
 as rows arrive. A SIMM file is opened as a ``SimmReader`` on a seekable file:
@@ -24,11 +24,12 @@ the header, the file's length and the id lists are checked first (the id
 lists a few bytes at a time, so a padded file is refused from its length),
 and values are read on demand with positional reads: whole (``load_matrix``,
 ``from_binary``), a block of rows in one read, or, for ``T``, blocks cut from
-column groups that one reader thread reads ahead. Any source is saved a block
-of rows at a time; a ``SimmWriter`` writes each block at its own offset, so
-blocks may come in any order, from any thread. A matrix keeps the array it is
-handed when that array is float64, C-contiguous and owns its data, and marks
-it read-only; any other input (a view, another dtype, a list) is copied.
+column groups, each read by the thread that fills its first block. Any source
+is saved a block of rows at a time; a ``SimmWriter`` writes each block at its
+own offset, so blocks may come in any order, from any thread. A matrix keeps
+the array it is handed when that array is float64, C-contiguous and owns its
+data, and marks it read-only; any other input (a view, another dtype, a
+list) is copied.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import os
 import struct
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from framebias._numpy import np
 from framebias.atomic import open_atomic
@@ -49,7 +50,7 @@ from framebias.errors import AnnotationParseError, FrameBiasError, ShapeMismatch
 MAGIC = b"SIMM"
 VERSION = 1
 _HEADER_BYTES = 13  # magic, version, u32 rows, u32 cols
-_GROUP_BYTES = 1 << 23  # values of one column group, read ahead for the transpose's blocks
+_GROUP_BYTES = 1 << 23  # values of one column group, from which the transpose's blocks are cut
 _SAVE_VALUES = 1 << 16  # values of one block of rows that a save fills and writes
 
 
@@ -97,8 +98,6 @@ class SimilarityMatrix:
     rows: tuple[str, ...]
     cols: tuple[str, ...]
     values: np.ndarray
-    row_index: dict[str, int] = field(init=False, repr=False)
-    col_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -114,8 +113,6 @@ class SimilarityMatrix:
             self._check_range(values, values.min(), values.max())
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "row_index", {r: i for i, r in enumerate(self.rows)})
-        object.__setattr__(self, "col_index", {c: j for j, c in enumerate(self.cols)})
 
     def _check_range(self, values: np.ndarray, lo, hi) -> None:
         _check_finite(values, lo, hi, self.rows, self.cols)
@@ -352,7 +349,7 @@ class SimmReader:
         size = fh.seek(0, io.SEEK_END)
         fh.seek(0)
         header = fh.read(_HEADER_BYTES)
-        if header[:4] != MAGIC:
+        if not header or not MAGIC.startswith(header[:4]):  # a file cut inside the magic is truncated
             raise AnnotationParseError("not a SIMM matrix file (bad magic)")
         if len(header) < _HEADER_BYTES:
             raise AnnotationParseError(f"SIMM header truncated: {len(header)} of {_HEADER_BYTES} bytes")
@@ -415,11 +412,7 @@ class SimmReader:
 
     @contextmanager
     def _column_blocks(self, rows: int):
-        groups = _ColumnGroups(self, rows)
-        try:
-            yield groups.fill
-        finally:
-            groups.stop()
+        yield _ColumnGroups(self, rows).fill
 
     def load(self) -> SimilarityMatrix:
         """Read every value into one array, which the matrix keeps."""
@@ -431,13 +424,11 @@ class SimmReader:
 class _ColumnGroups:
     """The blocks of a SIMM file's transposed values, cut from groups of file
     columns. A group is a multiple of the block width ``rows`` wide, within
-    ``_GROUP_BYTES``. One thread (``_read_ahead``) reads the groups in order,
-    one file row at a time, into one of two buffers once every block of the
-    group two before has been copied out, while the scoring threads score.
-    The first block starts it, once the scoring threads run: started before
-    them, it can take over the malloc arena of a scoring thread that has
-    ended, and a new scoring thread then grows another (1.5 MB of peak RSS
-    at 4000x4000)."""
+    ``_GROUP_BYTES``. The block at a group's first column reads the group, one
+    file row at a time, on the thread that asked for it, into one of two
+    buffers once every block of the group two before has been copied out; the
+    group's other blocks wait for it. A failed read is kept for the group, and
+    each of its blocks raises it."""
 
     def __init__(self, file: SimmReader, rows: int) -> None:
         nrows, ncols = file.shape
@@ -446,48 +437,33 @@ class _ColumnGroups:
         # blocks of each group not yet copied out
         self.left = [len(range(first, min(first + width, ncols), rows)) for first in range(0, ncols, width)]
         self.buffers = [np.empty(nrows * min(width, ncols), "<f8") for _ in self.left[:2]]
-        self.groups = {}  # group -> its values, or the error that ended the reading
-        self.stopped = False
+        self.groups = {}  # group -> its values, or the error that ended its read
         self.changed = threading.Condition()
-        self.reader = threading.Thread(target=self._read_ahead, name="simm-columns")
 
-    def _read_ahead(self) -> None:
+    def _read(self, g: int) -> None:
         nrows, ncols = self.file.shape
-        for g in range(len(self.left)):
-            with self.changed:
-                while g >= 2 and self.left[g - 2] and not self.stopped:
-                    self.changed.wait()
-                if self.stopped:
-                    return
-                self.groups.pop(g - 2, None)
-            first = g * self.width
-            width = min(self.width, ncols - first)
-            group = self.buffers[g % 2][: nrows * width].reshape(nrows, width)
-            try:
-                self.file._read_columns(first, group)
-            except BaseException as error:  # re-raised by the blocks of this group and every later one
-                with self.changed:
-                    self.groups.update(dict.fromkeys(range(g, len(self.left)), error))
-                    self.changed.notify_all()
-                return
-            with self.changed:
-                self.groups[g] = group
-                self.changed.notify_all()
-
-    def stop(self) -> None:
         with self.changed:
-            self.stopped = True
+            while g >= 2 and self.left[g - 2]:
+                self.changed.wait()
+            self.groups.pop(g - 2, None)
+        first = g * self.width
+        width = min(self.width, ncols - first)
+        group = self.buffers[g % 2][: nrows * width].reshape(nrows, width)
+        try:
+            self.file._read_columns(first, group)
+        except BaseException as error:  # re-raised by each block of this group
+            group = error
+        with self.changed:
+            self.groups[g] = group
             self.changed.notify_all()
-        if self.reader.ident is not None:
-            self.reader.join()
 
     def fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         g, at = divmod(start, self.width)
         with _named(self.file.name):
             try:
+                if not at:
+                    self._read(g)
                 with self.changed:
-                    if self.reader.ident is None:
-                        self.reader.start()
                     while g not in self.groups:
                         self.changed.wait()
                     group = self.groups[g]
@@ -538,7 +514,9 @@ def open_matrix(path):
     pipe; a SIMM file must be seekable. Errors in opening name the path."""
     with open(path, "rb") as fh:
         with _named(path):
-            if fh.peek(4)[:4] == MAGIC:
+            head = fh.peek(4)[:4]
+            # a file of part of the magic alone is a SIMM file cut short, not a text matrix
+            if head == MAGIC or head and MAGIC.startswith(head) and fh.seekable():
                 if not fh.seekable():
                     raise AnnotationParseError("a SIMM matrix cannot be read from a pipe: its length is needed first")
                 matrix = SimmReader(fh, path)

@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass
 
 from framebias._numpy import np
-from framebias.dataset import ActionClass, Dataset, class_of, frame_length
+from framebias.dataset import Dataset, frame_length
 from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchError
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 
@@ -176,15 +176,11 @@ def build_relevancy(query_classes, gallery_classes, row_ids=None, col_ids=None) 
     return RelevancyMatrix(rows=rows, cols=cols, values=values)
 
 
-def class_relevance(a: ActionClass, b: ActionClass) -> float:
-    return 0.5 * ((a.verb_class == b.verb_class) + (a.noun_class == b.noun_class))
-
-
 def gt_rank(sim: SimilarityMatrix, query_index: int, gt_gallery_id: str) -> int:
     """1-based rank of the ground-truth gallery item for one query."""
-    if gt_gallery_id not in sim.col_index:
+    if gt_gallery_id not in sim.cols:
         raise NotFoundError(f"gallery id {gt_gallery_id!r} not present in matrix columns")
-    return int(gt_ranks(sim.values[[query_index]], np.array([sim.col_index[gt_gallery_id]]))[0])
+    return int(gt_ranks(sim.values[[query_index]], np.array([sim.cols.index(gt_gallery_id)]))[0])
 
 
 def recall_at_k(ranks, k: int) -> float:
@@ -350,7 +346,7 @@ def inspect_query(sim, dataset: Dataset, query_id: str, k: int) -> list[InspectE
     out = []
     for j in ranking(row)[:k]:
         clip = _gallery_clip(sim, dataset, j)
-        rel = class_relevance(class_of(query_clip), class_of(clip))
+        rel = 0.5 * ((clip.verb_class == query_clip.verb_class) + (clip.noun_class == query_clip.noun_class))
         out.append(InspectEntry(clip.clip_id, float(row[j]), clip.caption, frame_length(clip), rel))
     return out
 

@@ -37,7 +37,7 @@ from framebias.audit import class_stats
 from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
-from framebias.matrices import SimilarityMatrix, SimmWriter, _Transposed
+from framebias.matrices import SimilarityMatrix, SimmWriter
 from framebias.metrics import _block_bounds, _each_block, gt_ranks, recall_at_k, top_k
 
 GENERATOR_ID = "numpy-default-rng-pcg64"
@@ -194,27 +194,19 @@ class _Synthesis:
         noise = tuple((weight, dims[rows]) for weight, dims in self.noise)
         return _Synthesis(ids, self.cols, captions, self.clips, self.table, self.noise_t, noise)
 
-    @property
-    def T(self) -> _Transposed:
-        return _Transposed(self)
-
     @contextmanager
     def blocks(self, rows: int):
-        yield lambda start, stop, out: self._fill(start, stop, out, False)
+        yield self._fill
 
-    @contextmanager
-    def _column_blocks(self, rows: int):
-        yield lambda start, stop, out: self._fill(start, stop, out, True)
-
-    def _fill(self, start: int, stop: int, out: np.ndarray, columns: bool) -> np.ndarray:
-        """Rows ``start:stop`` of the matrix, or of its transpose, into ``out``."""
-        (own_class, own_bucket), (class_, bucket) = (self.clips, self.captions) if columns else (self.captions, self.clips)
+    def _fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``start:stop`` of the matrix, into ``out``."""
+        (own_class, own_bucket), (class_, bucket) = self.captions, self.clips
         code = (own_class[start:stop, None] == class_).view(np.uint8)
         code += 2 * (own_bucket[start:stop, None] == bucket).view(np.uint8)
         self.table.take(code, out=out, mode="clip")  # codes are 0-3; "clip" writes out unbuffered
         if self.noise_t is not None:
             for weight, dims in self.noise:
-                term = self.noise_t[dims, start:stop].T if columns else self.noise_t[dims[start:stop]]
+                term = self.noise_t[dims[start:stop]]
                 term *= weight
                 out += term
                 del term  # or the next gather would allocate beside it

@@ -26,7 +26,6 @@ from framebias.matrices import (
 )
 from framebias.simulate import SimConfig, _Shared, _synthesis, _Synthesis, synth_dataset, synth_similarity
 
-from test_block_threads import outcome
 from test_matrix_memory import traced_peak
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -107,19 +106,15 @@ def synthesis(config, reference=None):
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 @pytest.mark.parametrize("filtered", [False, True])
 def test_the_generator_is_the_collected_matrix_both_ways(monkeypatch, noise, filtered):
-    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 200)  # several blocks each way
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 200)  # several blocks
     config = SimConfig(num_classes=9, train_per_class=8, test_per_class=4, class_len_spread=300.0, noise_stddev=noise)
     reference = (lambda d: filter_margin(d, FilterConfig(alpha=10.0, min_class_size=3))[0]) if filtered else None
     source, dataset = synthesis(config, reference)
     sim, _ = synth_similarity(dataset, config, reference(dataset) if filtered else dataset)
-    assert outcome(monkeypatch, 2, metrics.metrics_report, source, dataset) == outcome(
-        monkeypatch, 2, metrics.metrics_report, sim, dataset
-    )
-    out = np.empty(source.T.shape)
-    with source.T.blocks(5) as fill:
-        for start in range(0, out.shape[0], 5):
-            fill(start, min(start + 5, out.shape[0]), out[start : start + 5])
-    assert np.array_equal(out.view(np.int64), sim.values.T.view(np.int64))
+    out = np.empty(source.shape)
+    monkeypatch.setattr(metrics, "_WORKERS", 2)
+    metrics._each_block(source, lambda start, stop, scores, scratch: np.copyto(out[start:stop], scores))
+    assert np.array_equal(out.view(np.int64), sim.values.view(np.int64))
     rows = [3, 0, 17, 35]
     taken = source.taking(rows)
     out = np.empty(taken.shape)
@@ -155,10 +150,10 @@ def test_a_failed_condition_leaves_no_file(tmp_path, monkeypatch, capsys, where)
     if where == "fill":
         real = _Synthesis._fill
 
-        def fill(self, start, stop, out, columns):
+        def fill(self, start, stop, out):
             if next(calls) == 30:  # of one-row blocks: in the second condition
                 raise OSError("fill failed")
-            return real(self, start, stop, out, columns)
+            return real(self, start, stop, out)
 
         monkeypatch.setattr(_Synthesis, "_fill", fill)
     else:

@@ -5,6 +5,7 @@ held in memory."""
 import io
 import json
 import os
+import re
 import sys
 import threading
 from contextlib import contextmanager, nullcontext, redirect_stderr
@@ -108,6 +109,14 @@ def test_non_finite_value_is_named_as_loading_names_it(work):
     assert run_eval(work) == (1, message, None)
 
 
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_a_file_cut_inside_the_magic_is_a_truncated_simm(tmp_path, cut):
+    path = tmp_path / "m.simm"
+    path.write_bytes(matrices.MAGIC[:cut])  # as text, an empty matrix whose corner cell is the bytes
+    with pytest.raises(AnnotationParseError, match=f"^{re.escape(str(path))}: SIMM header truncated: {cut} of 13 bytes$"):
+        load_matrix(path)
+
+
 def test_empty_matrix_gives_the_loaded_message(work):
     matrix = SimilarityMatrix(rows=(), cols=("a", "b"), values=np.zeros((0, 2)))
     (work / "m.simm").write_bytes(to_binary(matrix))
@@ -144,15 +153,23 @@ def test_a_file_that_shrinks_after_it_is_opened(tmp_path, monkeypatch, workers):
     assert len(errors) == 1 and errors[0].startswith(f"{path}: SIMM values ended early")
 
 
-def test_every_transposed_block_is_read_once_under_frequent_switches(tmp_path, monkeypatch):
-    monkeypatch.setattr(metrics, "_WORKERS", 8)  # more threads than cores
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_every_transposed_block_is_read_once_under_frequent_switches(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(metrics, "_WORKERS", workers)
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 40)  # v2t blocks of one file column
     monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * 40 * 3)  # in groups of three
     nrows, ncols = 40, 90
     values = np.arange(float(nrows * ncols)).reshape(nrows, ncols)
     ids = tuple(f"c{i}" for i in range(max(nrows, ncols)))
     save_matrix(SimilarityMatrix(rows=ids[:nrows], cols=ids[:ncols], values=values), tmp_path / "m.simm")
-    scored = []
+    scored, reads = [], []
+    read_columns = matrices.SimmReader._read_columns
+
+    def counted(reader, start, out):
+        reads.append(start)
+        return read_columns(reader, start, out)
+
+    monkeypatch.setattr(matrices.SimmReader, "_read_columns", counted)
 
     def score(start, stop, scores, scratch):
         scored.append((start, stop, scores.tolist()))
@@ -169,6 +186,32 @@ def test_every_transposed_block_is_read_once_under_frequent_switches(tmp_path, m
     assert not runner.is_alive()
     # a group buffer reused before all its blocks were copied out shows here
     assert sorted(scored) == [(j, j + 1, [values[:, j].tolist()]) for j in range(ncols)]
+    assert sorted(reads) == list(range(0, ncols, 3))  # each group is read once
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_only_the_scoring_threads_run_while_a_file_is_scored(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(metrics, "_WORKERS", workers)
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 60)  # v2t blocks of two file columns
+    monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * 30 * 4)  # in groups of four columns
+    sim, dataset = random_eval(np.random.default_rng(0), 30, 20, 3)
+    save_matrix(sim, tmp_path / "m.simm")
+    counts = []
+    each_block = metrics._each_block
+
+    def counting(source, score, *args):
+        def counted(*block):
+            counts.append(threading.active_count())
+            return score(*block)
+
+        return each_block(source, counted, *args)
+
+    monkeypatch.setattr(metrics, "_each_block", counting)
+    baseline = threading.active_count()
+    with open_matrix(tmp_path / "m.simm") as reader:
+        streamed = metrics.metrics_report(reader, dataset)
+    assert streamed == metrics.metrics_report(sim, dataset)
+    assert counts and max(counts) <= baseline + workers - 1
 
 
 @pytest.mark.parametrize("shape", [(1, 37), (37, 1), (23, 37)])
