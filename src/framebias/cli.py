@@ -24,7 +24,7 @@ from framebias.audit import (
     length_histogram,
 )
 from framebias.dataset import ActionClass, load_annotations, write_native_csv
-from framebias.errors import FrameBiasError
+from framebias.errors import DegenerateInputError, FrameBiasError
 from framebias.filtering import FilterConfig, SumSource, filter_margin, filter_single_class
 from framebias.matrices import open_matrix, save_matrix
 from framebias.metrics import inspect_query, metrics_report
@@ -145,9 +145,18 @@ def cmd_filter_one(args) -> int:
     return 0
 
 
+@contextmanager
+def _open_scores(path):
+    """``open_matrix``, refusing a matrix with no rows or no columns, which no command can use."""
+    with open_matrix(path) as sim:
+        if 0 in sim.shape:
+            raise DegenerateInputError(f"{path}: the matrix is empty ({sim.shape[0]} rows, {sim.shape[1]} columns)")
+        yield sim
+
+
 def cmd_eval(args) -> int:
     dataset = load_annotations(args.annotations, args.format)
-    with open_matrix(args.sim) as sim:  # a SIMM file is ranked as it is read
+    with _open_scores(args.sim) as sim:  # a SIMM file is ranked as it is read
         report = metrics_report(sim, dataset, threshold=args.threshold, depth=args.depth)
     payload = {"threshold": args.threshold, "depth": args.depth, **metrics_report_dict(report)}
     write_report(args.out, build_envelope("eval", _echo(args), payload))
@@ -156,7 +165,7 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     dataset = load_annotations(args.annotations, args.format)
-    with open_matrix(args.sim) as sim:  # of a SIMM file, only the query's row is read
+    with _open_scores(args.sim) as sim:  # of a SIMM file, only the query's row is read
         entries = inspect_query(sim, dataset, args.query, args.topk)
     print(f"query {args.query}: top {len(entries)} of {len(sim.cols)} gallery clips")
     print(f"{'rank':>4}  {'gallery_id':<24} {'score':>12} {'frames':>7} {'rel':>4}  caption")
@@ -169,6 +178,10 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
+
+    from framebias import forking  # loads pickle, which only a sweep needs
+
     config = SimConfig(
         num_classes=args.classes,
         train_per_class=args.train_per_class,
@@ -185,7 +198,12 @@ def cmd_simulate(args) -> int:
     alphas = _parse_list(args.alphas, _finite_float)
     _check_distinct_tags("seed", seeds, "d")
     _check_distinct_tags("alpha", alphas, "g")
+    if not alphas or not seeds:
+        raise ValueError("alphas and seeds must be non-empty")
+    for seed in seeds:  # each seed's sweep checks only its own; all are checked before any file is written
+        replace(config, seed=seed)
     out_dir = Path(args.out_dir)
+    processes, workers = forking.plan(len(seeds))
 
     @contextmanager
     def emit(seed, alpha, dataset, reference):
@@ -198,10 +216,25 @@ def cmd_simulate(args) -> int:
         with open_atomic(out_dir / f"annotations_{tag}.csv") as fh:
             write_native_csv(reference, fh)
 
-    rows = bias_sweep(
-        config, alphas, seeds, min_class_size=args.min_class_size, topk=args.topk,
-        on_condition=emit,
-    )
+    def sweep(share):
+        """The rows of each seed of ``share`` in turn, up to the first seed that fails, and its error."""
+        groups = []
+        for seed in share:
+            try:
+                groups.append(bias_sweep(
+                    config, alphas, [seed], min_class_size=args.min_class_size, topk=args.topk,
+                    on_condition=emit, workers=workers,
+                ))
+            except (FrameBiasError, ValueError, OSError) as error:
+                return groups, error
+        return groups, None
+
+    # process i sweeps seeds[i::processes], so its seed j is seeds[i + processes * j]
+    results = forking.fork_map(sweep, [seeds[i::processes] for i in range(processes)])
+    errors = {i + processes * len(groups): error for i, (groups, error) in enumerate(results) if error is not None}
+    if errors:
+        raise errors[min(errors)]  # the first failing seed's, as one process gives
+    rows = [row for at in range(len(seeds)) for row in results[at % processes][0][at // processes]]
     payload = {
         "sim_config": config,
         "alphas": alphas,
@@ -216,7 +249,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sum_sims(args) -> int:
     with ExitStack() as stack:  # a block of rows is read from every input, summed and written
-        inputs = [stack.enter_context(open_matrix(path)) for path in args.paths]
+        inputs = [stack.enter_context(_open_scores(path)) for path in args.paths]
         save_matrix(SumSource(inputs, mean=args.mean), args.out)
     return 0
 

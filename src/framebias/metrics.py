@@ -29,8 +29,14 @@ from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 DIRECTIONS = ("t2v", "v2t", "avg")
 RECALL_KS = (1, 5, 10)  # cutoffs of each direction's recall
 _BLOCK_SCORES = 1 << 17  # scores ranked at once: a block's scratch arrays stay small
-# threads that score blocks at once: the usable CPUs, at most four
-_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+_WORKERS = min(4, usable_cpus())  # threads that score blocks at once: the usable CPUs, at most four
 
 
 def _block_bounds(source, scores: int | None = None) -> list[tuple[int, int]]:
@@ -39,10 +45,10 @@ def _block_bounds(source, scores: int | None = None) -> list[tuple[int, int]]:
     return [(start, min(start + rows, source.shape[0])) for start in range(0, source.shape[0], rows)]
 
 
-def _each_block(source, score, block_scores: int | None = None) -> None:
+def _each_block(source, score, block_scores: int | None = None, workers: int | None = None) -> None:
     """Call ``score(start, stop, scores, scratch)`` on each block of a block
-    source's rows (see ``matrices``), on up to ``_WORKERS`` threads, this one
-    included.
+    source's rows (see ``matrices``), on up to ``workers`` (at most
+    ``_WORKERS``) threads, this one included.
 
     A block holds about ``block_scores`` (``_BLOCK_SCORES``) scores, at least
     one row. Each thread has the source fill the blocks it takes into one
@@ -61,7 +67,7 @@ def _each_block(source, score, block_scores: int | None = None) -> None:
     # one block and one scratch buffer per thread, allocated here, as numpy's
     # first use must be on this thread: fresh block-sized temporaries can each
     # cost a new mmap and its page faults
-    workers = max(1, min(_WORKERS, len(bounds)))
+    workers = max(1, min(_WORKERS, workers or _WORKERS, len(bounds)))
     buffers = [np.empty((2, min(rows, source.shape[0]), source.shape[1])) for _ in range(workers)]
 
     def work(block, scratch):

@@ -316,9 +316,9 @@ class SweepRow:
     mean_topk_len: float
 
 
-def _condition_metrics(source, gt: np.ndarray, lengths: np.ndarray, topk: int):
+def _condition_metrics(source, gt: np.ndarray, lengths: np.ndarray, topk: int, workers: int | None = None):
     """Mean GT rank, recall@10 and mean top-k gallery length over the queries
-    of a block source, scored block by block.
+    of a block source, scored block by block on up to ``workers`` threads.
 
     ``gt`` holds each query's ground-truth column (the gallery clip with its
     own id) and ``lengths`` each gallery clip's length, so a top-k length is
@@ -333,13 +333,13 @@ def _condition_metrics(source, gt: np.ndarray, lengths: np.ndarray, topk: int):
 
     # half eval's blocks: building a block and partitioning its top k each
     # hold a block-sized temporary beside it, and smaller blocks sweep no slower
-    _each_block(source, score, metrics._BLOCK_SCORES // 2)
+    _each_block(source, score, metrics._BLOCK_SCORES // 2, workers)
     ranks, topk_means = ranks.tolist(), (topk_sums / k).tolist()
     return sum(ranks) / len(ranks), recall_at_k(ranks, 10), sum(topk_means) / len(topk_means)
 
 
 def bias_sweep(
-    config: SimConfig, alphas, seeds, min_class_size: int = 11, topk: int = 20, on_condition=None
+    config: SimConfig, alphas, seeds, min_class_size: int = 11, topk: int = 20, on_condition=None, workers=None
 ) -> list[SweepRow]:
     """Mechanism sweep: unfiltered baseline vs margin filter at each alpha.
 
@@ -352,7 +352,8 @@ def bias_sweep(
     (alpha None = baseline) for a context manager that is entered while the
     cell is scored. It gives None or a seekable binary file, to which the
     cell's matrix is written as SIMM block by block (see ``SimmWriter``); an
-    error in the cell leaves the manager by it.
+    error in the cell leaves the manager by it. ``workers`` caps the threads
+    that score a cell (default: ``metrics._WORKERS``).
     """
     alphas = list(alphas)
     seeds = list(seeds)
@@ -374,7 +375,7 @@ def bias_sweep(
             source, _ = _synthesis(shared, reference)
             cell = nullcontext() if on_condition is None else on_condition(cfg.seed, alpha, dataset, reference)
             with cell as fh:
-                return _condition_metrics(source if fh is None else SimmWriter(source, fh), gt, lengths, topk)
+                return _condition_metrics(source if fh is None else SimmWriter(source, fh), gt, lengths, topk, workers)
 
         rows.append(SweepRow(cfg.seed, None, 0, 0, *condition(None, dataset)))
         for alpha, filter_config in zip(alphas, filters):

@@ -121,8 +121,31 @@ def test_empty_matrix_gives_the_loaded_message(work):
     matrix = SimilarityMatrix(rows=(), cols=("a", "b"), values=np.zeros((0, 2)))
     (work / "m.simm").write_bytes(to_binary(matrix))
     write_annotations(work / "ann.csv", ("a", "b"))
-    message = "framebias eval: error: query and gallery class lists must be non-empty\n"
+    message = f"framebias eval: error: {work / 'm.simm'}: the matrix is empty (0 rows, 2 columns)\n"
     assert run_eval(work) == run_eval(work, whole=True) == (1, message, None)
+
+
+@pytest.mark.parametrize(
+    "name, rows, cols", [("m.csv", 0, 0), ("m.csv", 0, 2), ("m.csv", 2, 0), ("m.simm", 0, 2), ("m.simm", 2, 0)]
+)
+@pytest.mark.parametrize("command", ["eval", "inspect", "sum-sims"])
+def test_every_command_refuses_an_empty_matrix_by_its_path(tmp_path, capsys, command, name, rows, cols):
+    path = tmp_path / name
+    ids = ("a", "b")
+    save_matrix(SimilarityMatrix(rows=ids[:rows], cols=ids[:cols], values=np.zeros((rows, cols))), path)
+    if (rows, cols) == (0, 0):
+        path.write_text("x", encoding="utf-8")  # a text matrix of its corner cell alone
+    write_annotations(tmp_path / "ann.csv", ids)
+    ann = ["--annotations", str(tmp_path / "ann.csv")]
+    argv = {
+        "eval": ["eval", "--sim", str(path), *ann, "--out", str(tmp_path / "e.json")],
+        "inspect": ["inspect", "--sim", str(path), *ann, "--query", "a"],
+        "sum-sims": ["sum-sims", str(path), str(path), "--out", str(tmp_path / "s.csv")],
+    }[command]
+    assert cli.main(argv) == 1
+    message = f"framebias {command}: error: {path}: the matrix is empty ({rows} rows, {cols} columns)\n"
+    assert capsys.readouterr() == ("", message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.csv", name]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
