@@ -29,7 +29,7 @@ from framebias.filtering import FilterConfig, SumSource, filter_margin, filter_s
 from framebias.matrices import open_matrix, save_matrix
 from framebias.metrics import inspect_query, metrics_report
 from framebias.reports import build_envelope, filter_report_dict, histogram_dict, metrics_report_dict, write_report
-from framebias.simulate import SimConfig, bias_sweep
+from framebias.simulate import SimConfig, bias_sweep, check_sweep
 
 
 def _parse_class(text: str) -> ActionClass:
@@ -178,8 +178,6 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from dataclasses import replace
-
     from framebias import forking  # loads pickle, which only a sweep needs
 
     config = SimConfig(
@@ -198,10 +196,8 @@ def cmd_simulate(args) -> int:
     alphas = _parse_list(args.alphas, _finite_float)
     _check_distinct_tags("seed", seeds, "d")
     _check_distinct_tags("alpha", alphas, "g")
-    if not alphas or not seeds:
-        raise ValueError("alphas and seeds must be non-empty")
-    for seed in seeds:  # each seed's sweep checks only its own; all are checked before any file is written
-        replace(config, seed=seed)
+    # each process's sweeps check their own arguments: all are checked before any process starts
+    check_sweep(config, alphas, seeds, args.min_class_size, args.topk)
     out_dir = Path(args.out_dir)
     processes, workers = forking.plan(len(seeds))
 

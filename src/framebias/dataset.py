@@ -3,8 +3,8 @@
 A clip is a frame span of a longer video, annotated with one caption and a
 (verb, noun) action-class pair. Datasets are immutable after construction
 and keep ingestion order, so every downstream statistic is deterministic.
-A Dataset groups its clips by class and split once, in class order; per-class
-statistics walk that index.
+A Dataset groups its clips by class and split, in class order, the first time
+that index is read; per-class statistics walk it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import csv
 import io
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from operator import contains, itemgetter
 from typing import NamedTuple
@@ -122,32 +123,35 @@ def build_class_index(clips: tuple[ClipRecord, ...]) -> dict[ActionClass, dict[s
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable, ordered collection of clips, grouped once by class and split."""
+    """Immutable, ordered collection of clips. Its id map and its grouping by
+    class and split are built on first use and kept."""
 
     clips: tuple[ClipRecord, ...]
-    index: dict[ActionClass, dict[str, tuple[ClipRecord, ...]]] = field(
-        init=False, compare=False, repr=False
-    )
-    by_id: dict[str, ClipRecord] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        by_id: dict[str, ClipRecord] = {}
+        seen = set()
         for clip in self.clips:
-            if clip.clip_id in by_id:
+            if clip.clip_id in seen:
                 raise ValidationError(f"duplicate clip_id {clip.clip_id!r}")
-            by_id[clip.clip_id] = clip
-        object.__setattr__(self, "by_id", by_id)
-        object.__setattr__(self, "index", build_class_index(self.clips))
+            seen.add(clip.clip_id)
 
     @classmethod
-    def _of(cls, by_id: dict[str, ClipRecord]) -> Dataset:
-        """The dataset of ``by_id``'s clips in its order, which keeps
-        ``by_id`` (each clip under its own id) as its id map."""
+    def _of(cls, clips: tuple[ClipRecord, ...]) -> Dataset:
+        """The dataset of ``clips``, unchecked: the caller knows their ids
+        to be distinct (parsed ones, or a subset of a dataset's clips)."""
         dataset = object.__new__(cls)
-        object.__setattr__(dataset, "clips", tuple(by_id.values()))
-        object.__setattr__(dataset, "by_id", by_id)
-        object.__setattr__(dataset, "index", build_class_index(dataset.clips))
+        object.__setattr__(dataset, "clips", clips)
         return dataset
+
+    @cached_property
+    def by_id(self) -> dict[str, ClipRecord]:
+        """Each clip under its id."""
+        return dict(zip(map(itemgetter(0), self.clips), self.clips))
+
+    @cached_property
+    def index(self) -> dict[ActionClass, dict[str, tuple[ClipRecord, ...]]]:
+        """``build_class_index`` of the clips."""
+        return build_class_index(self.clips)
 
     def __len__(self) -> int:
         return len(self.clips)
@@ -255,7 +259,7 @@ def parse_annotations(source, fmt: str = "native") -> Dataset:
         _parse_rows(_lines(test), EK100_COLUMNS, SPLITS[1], "test file, ", by_id, shared)
     else:
         raise ValueError(f"unknown annotation format {fmt!r}")
-    return Dataset._of(by_id)
+    return Dataset._of(tuple(by_id.values()))
 
 
 def _lines(content):

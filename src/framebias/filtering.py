@@ -181,7 +181,7 @@ def _finalize(
         removed_clip_ids=tuple(removed_ids),
         per_class=tuple(outcomes),
     )
-    return Dataset(clips=kept), report
+    return Dataset._of(kept), report  # a subset of distinct ids
 
 
 def sum_similarity_matrices(matrices, mean: bool = False) -> SimilarityMatrix:

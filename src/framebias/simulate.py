@@ -338,6 +338,17 @@ def _condition_metrics(source, gt: np.ndarray, lengths: np.ndarray, topk: int, w
     return sum(ranks) / len(ranks), recall_at_k(ranks, 10), sum(topk_means) / len(topk_means)
 
 
+def check_sweep(config: SimConfig, alphas: list, seeds: list, min_class_size: int, topk: int):
+    """The config of each seed and the filter config of each alpha of a
+    sweep, once every argument has passed the checks ``bias_sweep`` makes."""
+    if not alphas or not seeds:
+        raise ValueError("alphas and seeds must be non-empty")
+    if topk < 1:
+        raise ValueError(f"topk must be >= 1, got {topk}")
+    configs = [replace(config, seed=seed) for seed in seeds]
+    return configs, [FilterConfig(alpha=alpha, min_class_size=min_class_size) for alpha in alphas]
+
+
 def bias_sweep(
     config: SimConfig, alphas, seeds, min_class_size: int = 11, topk: int = 20, on_condition=None, workers=None
 ) -> list[SweepRow]:
@@ -356,13 +367,7 @@ def bias_sweep(
     that score a cell (default: ``metrics._WORKERS``).
     """
     alphas = list(alphas)
-    seeds = list(seeds)
-    if not alphas or not seeds:
-        raise ValueError("alphas and seeds must be non-empty")
-    if topk < 1:
-        raise ValueError(f"topk must be >= 1, got {topk}")
-    configs = [replace(config, seed=seed) for seed in seeds]
-    filters = [FilterConfig(alpha=alpha, min_class_size=min_class_size) for alpha in alphas]
+    configs, filters = check_sweep(config, alphas, list(seeds), min_class_size, topk)
 
     rows = []
     for cfg in configs:

@@ -130,6 +130,23 @@ def test_a_one_seed_sweep_forks_nothing(tmp_path):
     assert json.loads(out) == {"code": 0, "forks": 0}
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--topk", "0"], "topk must be >= 1, got 0"),
+        (["--alphas", "20,-1"], "alpha must be >= 0, got -1.0"),
+        (["--min-class-size", "0"], "min_class_size must be >= 1, got 0"),
+    ],
+    ids=["topk", "alpha", "min-class-size"],
+)
+def test_a_sweep_refused_by_its_arguments_forks_nothing(tmp_path, flags, message):
+    args = ["simulate", "--classes", "4", "--seeds", "0,1,2", *flags, "--out-dir", str(tmp_path / "out")]
+    code, out, err = run_sweep(COUNT_FORKS, args, tmp_path)
+    assert (code, err) == (0, f"framebias simulate: error: {message}\n")
+    assert json.loads(out) == {"code": 1, "forks": 0}
+    assert not (tmp_path / "out").exists()  # no file written
+
+
 @needs_fork
 def test_the_first_failing_seed_in_seeds_order_is_reported(tmp_path):
     seeds = [0, 1, 2, 3, 4, 5]
