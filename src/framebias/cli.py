@@ -341,6 +341,9 @@ def _check_distinct_outputs(parser: argparse.ArgumentParser, args) -> None:
 
 
 def main(argv=None) -> int:
+    # framebias calls no BLAS routine; numpy loads inside a command, so this
+    # keeps OpenBLAS from starting a thread per CPU unless the caller chose
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_distinct_outputs(parser, args)

@@ -2,9 +2,11 @@
 forked child that pickles its result into a pipe.
 
 A process that runs more than one thread must not fork: the child would copy
-locks that other threads hold. numpy starts BLAS threads as it loads, so a
-fresh CLI forks before its first matrix, and ``plan`` plans one process
-elsewhere or without ``os.fork``.
+locks that other threads hold. The CLI pins OpenBLAS to one thread unless the
+caller set its thread count, so numpy starts no thread as it loads there and
+the children inherit the setting; ``plan`` plans one process wherever more
+threads run, such as a library caller's numpy with BLAS threads, or without
+``os.fork``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ the header, the file's length and the id lists are checked first (the id
 lists a few bytes at a time, so a padded file is refused from its length),
 and values are read on demand with positional reads: whole (``load_matrix``,
 ``from_binary``), a block of rows in one read, or, for ``T``, blocks cut from
-column groups, each read by the thread that fills its first block. Any source
+column groups, each read into the one group buffer by the thread that fills
+its first block, once the group before is copied out. Any source
 is saved a block of rows at a time; a ``SimmWriter`` writes each block at its
 own offset, so blocks may come in any order, from any thread. A matrix keeps
 the array it is handed when that array is float64, C-contiguous and owns its
@@ -51,6 +52,7 @@ MAGIC = b"SIMM"
 VERSION = 1
 _HEADER_BYTES = 13  # magic, version, u32 rows, u32 cols
 _GROUP_BYTES = 1 << 23  # values of one column group, from which the transpose's blocks are cut
+_TILE_ROWS = 256  # source rows of a transposed block copied at once, so the copy stays in cache
 _SAVE_VALUES = 1 << 16  # values of one block of rows that a save fills and writes
 
 
@@ -73,6 +75,13 @@ def _check_block(values: np.ndarray, rows, cols) -> None:
     """Refuse a non-finite value of a block whose cells have ids ``rows`` and ``cols``."""
     if values.size:
         _check_finite(values, values.min(), values.max(), rows, cols)
+
+
+def _copy_transposed(out: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Copy ``columns.T`` into ``out``, ``_TILE_ROWS`` rows of ``columns`` at a time."""
+    for at in range(0, len(columns), _TILE_ROWS):
+        np.copyto(out[:, at : at + _TILE_ROWS], columns[at : at + _TILE_ROWS].T)
+    return out
 
 
 class _Transposed:
@@ -131,13 +140,7 @@ class SimilarityMatrix:
 
     @contextmanager
     def _column_blocks(self, rows: int):
-        columns = self.values.T
-
-        def fill(start, stop, out):
-            np.copyto(out, columns[start:stop])
-            return out
-
-        yield fill
+        yield lambda start, stop, out: _copy_transposed(out, self.values[:, start:stop])
 
     def transposed(self):
         return type(self)(rows=self.cols, cols=self.rows, values=self.values.T)
@@ -425,10 +428,11 @@ class _ColumnGroups:
     """The blocks of a SIMM file's transposed values, cut from groups of file
     columns. A group is a multiple of the block width ``rows`` wide, within
     ``_GROUP_BYTES``. The block at a group's first column reads the group, one
-    file row at a time, on the thread that asked for it, into one of two
-    buffers once every block of the group two before has been copied out; the
-    group's other blocks wait for it. A failed read is kept for the group, and
-    each of its blocks raises it."""
+    file row at a time, on the thread that asked for it, into the one group
+    buffer once every block of the group before has been copied out; the
+    group's other blocks wait for it. Blocks are asked for in order, so no
+    group is read ahead. A failed read is kept for the group, and each of its
+    blocks raises it."""
 
     def __init__(self, file: SimmReader, rows: int) -> None:
         nrows, ncols = file.shape
@@ -436,19 +440,19 @@ class _ColumnGroups:
         self.width = width = max(1, _GROUP_BYTES // (8 * max(1, nrows * rows))) * rows
         # blocks of each group not yet copied out
         self.left = [len(range(first, min(first + width, ncols), rows)) for first in range(0, ncols, width)]
-        self.buffers = [np.empty(nrows * min(width, ncols), "<f8") for _ in self.left[:2]]
+        self.buffer = np.empty(nrows * min(width, ncols), "<f8")
         self.groups = {}  # group -> its values, or the error that ended its read
         self.changed = threading.Condition()
 
     def _read(self, g: int) -> None:
         nrows, ncols = self.file.shape
         with self.changed:
-            while g >= 2 and self.left[g - 2]:
+            while g and self.left[g - 1]:
                 self.changed.wait()
-            self.groups.pop(g - 2, None)
+            self.groups.pop(g - 1, None)
         first = g * self.width
         width = min(self.width, ncols - first)
-        group = self.buffers[g % 2][: nrows * width].reshape(nrows, width)
+        group = self.buffer[: nrows * width].reshape(nrows, width)
         try:
             self.file._read_columns(first, group)
         except BaseException as error:  # re-raised by each block of this group
@@ -469,7 +473,7 @@ class _ColumnGroups:
                     group = self.groups[g]
                 if isinstance(group, BaseException):
                     raise group
-                np.copyto(out, group[:, at : at + stop - start].T)
+                _copy_transposed(out, group[:, at : at + stop - start])
             finally:
                 with self.changed:
                     self.left[g] -= 1

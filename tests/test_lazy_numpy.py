@@ -7,14 +7,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).parent / "data"
 # LazyLoader registers a placeholder named "numpy"; a real import loads submodules
 NUMPY_SUBMODULES = "sorted(m for m in sys.modules if m.startswith('numpy.'))"
 
 
-def run_python(args, cwd: Path) -> subprocess.CompletedProcess:
+def run_python(args, cwd: Path, **preset) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args``; ``preset`` replaces the thread-count
+    variables OpenBLAS reads, which are otherwise removed."""
     env = dict(os.environ)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    env.update(preset)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
@@ -51,6 +58,28 @@ def test_eval_in_a_fresh_process(tmp_path):
     assert result.returncode == 0, result.stderr
     golden = json.loads((DATA / "golden" / "eval.json").read_text())
     assert json.loads((tmp_path / "eval.json").read_text())["payload"] == golden["payload"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3"}])
+def test_the_cli_starts_no_blas_threads(tmp_path, preset):
+    to_simm = run_python(["-m", "framebias.cli", "sum-sims", str(DATA / "tiny_sim.csv"), "--out", "sim.simm"], tmp_path)
+    assert to_simm.returncode == 0, to_simm.stderr
+    code = f"""
+import os
+import sys
+from framebias.cli import main
+assert main(["eval", "--sim", "sim.simm", "--annotations", {str(DATA / "tiny.csv")!r}, "--out", "eval.json"]) == 0
+print({NUMPY_SUBMODULES} != [], len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+    result = run_python(["-c", code], tmp_path, **preset)
+    assert result.returncode == 0, result.stderr
+    loaded, threads, setting = result.stdout.split()
+    assert loaded == "True"
+    if preset:
+        assert setting == "3"  # the caller's setting is kept
+    else:
+        assert (threads, setting) == ("1", "1")
 
 
 def test_numpy_imported_first_is_used_as_is(tmp_path):

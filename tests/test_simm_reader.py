@@ -273,6 +273,49 @@ def test_report_over_the_reader_holds_little_of_the_matrix(tmp_path):
     assert peak <= 0.5 * 8 * n * n
 
 
+def test_the_v2t_pass_holds_one_column_group(tmp_path, monkeypatch):
+    monkeypatch.setattr(metrics, "_WORKERS", 2)
+    n = 2000
+    ids = tuple(f"c{i:05d}" for i in range(n))
+    values = np.random.default_rng(0).normal(size=(n, n))
+    save_matrix(SimilarityMatrix(rows=ids, cols=ids, values=values), tmp_path / "m.simm")
+    del values
+    rows = metrics._BLOCK_SCORES // n
+    with open_matrix(tmp_path / "m.simm") as reader:
+        group = 8 * n * matrices._ColumnGroups(reader, rows).width
+        assert n > 2 * group // (8 * n)  # more than two groups: two buffers would both be filled
+        peak, _ = traced_peak(metrics._each_block, reader.T, lambda *block: None)
+    # one group, and each thread's block and scratch buffers, with 1 MB for the rest
+    assert peak <= group + 2 * 2 * 8 * rows * n + (1 << 20)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("nrows", [1, 3, 5, 14])  # 1, tile - 1, tile + 1, 3 tiles + 2
+def test_transposed_blocks_are_copied_exactly_across_tiles(tmp_path, monkeypatch, workers, nrows):
+    monkeypatch.setattr(matrices, "_TILE_ROWS", 4)
+    monkeypatch.setattr(metrics, "_WORKERS", workers)
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 2 * nrows)  # v2t blocks of two file columns
+    monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * nrows * 4)  # in groups of two blocks
+    ncols = 11
+    values = np.random.default_rng(nrows).normal(size=(nrows, ncols))
+    ids = tuple(f"c{i}" for i in range(max(nrows, ncols)))
+    sim = SimilarityMatrix(rows=ids[:nrows], cols=ids[:ncols], values=values)
+    save_matrix(sim, tmp_path / "m.simm")
+
+    def blocks(source):
+        scored = {}
+        def score(start, stop, scores, scratch):
+            scored[start, stop] = scores.tobytes()
+
+        metrics._each_block(source, score)
+        return scored
+
+    expected = {(start, min(start + 2, ncols)): values.T[start : start + 2].tobytes() for start in range(0, ncols, 2)}
+    assert blocks(sim.T) == expected
+    with open_matrix(tmp_path / "m.simm") as reader:
+        assert blocks(reader.T) == expected
+
+
 def test_padded_file_is_refused_without_reading_the_padding(tmp_path):
     matrix = SimilarityMatrix(rows=("r",), cols=("c",), values=np.array([[0.5]]))
     blob = to_binary(matrix)
