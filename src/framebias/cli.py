@@ -24,9 +24,9 @@ from framebias.audit import (
     length_histogram,
 )
 from framebias.dataset import ActionClass, load_annotations, write_native_csv
-from framebias.errors import DegenerateInputError, FrameBiasError
+from framebias.errors import DegenerateInputError, FrameBiasError, NotFoundError
 from framebias.filtering import FilterConfig, SumSource, filter_margin, filter_single_class
-from framebias.matrices import open_matrix, save_matrix
+from framebias.matrices import _named, open_matrix, save_matrix
 from framebias.metrics import inspect_query, metrics_report
 from framebias.reports import build_envelope, filter_report_dict, histogram_dict, metrics_report_dict, write_report
 from framebias.simulate import SimConfig, bias_sweep, check_sweep
@@ -156,7 +156,7 @@ def _open_scores(path):
 
 def cmd_eval(args) -> int:
     dataset = load_annotations(args.annotations, args.format)
-    with _open_scores(args.sim) as sim:  # a SIMM file is ranked as it is read
+    with _open_scores(args.sim) as sim, _named(args.sim, NotFoundError):  # a SIMM file is ranked as it is read
         report = metrics_report(sim, dataset, threshold=args.threshold, depth=args.depth)
     payload = {"threshold": args.threshold, "depth": args.depth, **metrics_report_dict(report)}
     write_report(args.out, build_envelope("eval", _echo(args), payload))
@@ -165,7 +165,7 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     dataset = load_annotations(args.annotations, args.format)
-    with _open_scores(args.sim) as sim:  # of a SIMM file, only the query's row is read
+    with _open_scores(args.sim) as sim, _named(args.sim, NotFoundError):  # of a SIMM file, one row is read
         entries = inspect_query(sim, dataset, args.query, args.topk)
     print(f"query {args.query}: top {len(entries)} of {len(sim.cols)} gallery clips")
     print(f"{'rank':>4}  {'gallery_id':<24} {'score':>12} {'frames':>7} {'rel':>4}  caption")
@@ -246,7 +246,7 @@ def cmd_simulate(args) -> int:
 def cmd_sum_sims(args) -> int:
     with ExitStack() as stack:  # a block of rows is read from every input, summed and written
         inputs = [stack.enter_context(_open_scores(path)) for path in args.paths]
-        save_matrix(SumSource(inputs, mean=args.mean), args.out)
+        save_matrix(SumSource(inputs, mean=args.mean, names=args.paths), args.out)
     return 0
 
 

@@ -184,6 +184,18 @@ def _finalize(
     return Dataset._of(kept), report  # a subset of distinct ids
 
 
+def _check_same_ids(ids, other, names) -> None:
+    """Refuse (rows, cols) ``other`` unless it is ``ids``, naming the shapes or the
+    first row or column that differs; ``names`` name the matrices of ``ids`` and ``other``."""
+    where = f"{names[1]}: id mappings differ from {names[0]}'s"
+    if tuple(map(len, ids)) != tuple(map(len, other)):
+        raise ShapeMismatchError(f"{where}: shape {len(other[0])}x{len(other[1])} against {len(ids[0])}x{len(ids[1])}")
+    for side, expected, got in zip(("row", "column"), ids, other):
+        i = next((i for i, (a, b) in enumerate(zip(expected, got)) if a != b), None)
+        if i is not None:
+            raise ShapeMismatchError(f"{where} at {side} {i}: {got[i]!r} against {expected[i]!r}")
+
+
 def sum_similarity_matrices(matrices, mean: bool = False) -> SimilarityMatrix:
     """Elementwise sum of score matrices sharing identical id mappings.
 
@@ -197,9 +209,8 @@ def sum_similarity_matrices(matrices, mean: bool = False) -> SimilarityMatrix:
         raise ValueError("at least one similarity matrix is required")
     rows, cols, total, count = m.rows, m.cols, m.values.copy(), 1
     del m  # hold no loaded matrix while the next one loads
-    for m in matrices:
-        if m.rows != rows or m.cols != cols:
-            raise ShapeMismatchError("matrices must share identical row/column id mappings")
+    for m in matrices:  # enumerate would hold the last matrix while the next one loads
+        _check_same_ids((rows, cols), (m.rows, m.cols), ("matrix 0", f"matrix {count}"))
         total += m.values
         count += 1
         del m
@@ -211,15 +222,17 @@ def sum_similarity_matrices(matrices, mean: bool = False) -> SimilarityMatrix:
 class SumSource:
     """The elementwise sum (``mean=True``: mean) of block sources with
     identical ids, as a block source: each block adds the same block of every
-    input in order, so its values are those of ``sum_similarity_matrices``."""
+    input in order, so its values are those of ``sum_similarity_matrices``.
+    ``names`` (default: ``matrix i``) name the inputs in an id mismatch."""
 
-    def __init__(self, sources, mean: bool = False) -> None:
+    def __init__(self, sources, mean: bool = False, names=None) -> None:
         self.sources, self.mean = list(sources), mean
         if not self.sources:
             raise ValueError("at least one similarity matrix is required")
         first = self.sources[0]
-        if any(s.rows != first.rows or s.cols != first.cols for s in self.sources[1:]):
-            raise ShapeMismatchError("matrices must share identical row/column id mappings")
+        names = names or [f"matrix {i}" for i in range(len(self.sources))]
+        for name, s in zip(names[1:], self.sources[1:]):
+            _check_same_ids((first.rows, first.cols), (s.rows, s.cols), (names[0], name))
         self.rows, self.cols, self.shape = first.rows, first.cols, first.shape
 
     @contextmanager

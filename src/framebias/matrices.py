@@ -13,10 +13,12 @@ Every matrix is read, written and scored as a *block source*: ``rows``,
 ``cols``, ``shape`` and ``blocks(rows)``, a context manager giving
 ``fill(start, stop, out)``. That returns rows ``start:stop`` (``start`` a
 multiple of ``rows``), written into the C-contiguous ``out`` or as a view
-where they are held so, and refuses a non-finite value; several threads may
-fill at once. A ``SimilarityMatrix``, an open SIMM file (``SimmReader``) and
-the simulator's per-condition generator provide it; the first two also give
-``T``, their transpose as a source, which eval scores for v2t.
+where they are held so, and refuses a non-finite value. ``fill`` is called
+one block at a time, in ascending order of ``start``; a source that writes
+or is transposed is filled block by block from the first. A
+``SimilarityMatrix``, an open SIMM file (``SimmReader``) and the simulator's
+per-condition generator provide it; the first two also give ``T``, their
+transpose as a source, which eval scores for v2t.
 
 A text matrix is read row by row, from a pipe too, into an array that grows
 as rows arrive. A SIMM file is opened as a ``SimmReader`` on a seekable file:
@@ -24,13 +26,11 @@ the header, the file's length and the id lists are checked first (the id
 lists a few bytes at a time, so a padded file is refused from its length),
 and values are read on demand with positional reads: whole (``load_matrix``,
 ``from_binary``), a block of rows in one read, or, for ``T``, blocks cut from
-column groups, each read into the one group buffer by the thread that fills
-its first block, once the group before is copied out. Any source
-is saved a block of rows at a time; a ``SimmWriter`` writes each block at its
-own offset, so blocks may come in any order, from any thread. A matrix keeps
-the array it is handed when that array is float64, C-contiguous and owns its
-data, and marks it read-only; any other input (a view, another dtype, a
-list) is copied.
+column groups, each group read into one buffer by its first block. Any source
+is saved a block of rows at a time; a ``SimmWriter`` writes each block where
+the one before it ended. A matrix keeps the array it is handed when that
+array is float64, C-contiguous and owns its data, and marks it read-only; any
+other input (a view, another dtype, a list) is copied.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import csv
 import io
 import os
 import struct
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -269,47 +268,36 @@ def _read_ids(fh, offset: int, size: int, expected: int, side: str) -> tuple[tup
     return tuple(ids), offset
 
 
-def _positional(fh, read: bool):
-    """``move(buffer, offset) -> bytes moved``, reading into or writing from
-    ``buffer`` at ``offset`` of ``fh``, from any thread: one system call, or
-    for a file without a descriptor, a seek and a read or write under a lock."""
+def _positional(fh):
+    """``read(buffer, offset) -> bytes read`` from ``offset`` of ``fh``: one
+    system call, or a seek and a read for a file without a descriptor."""
     try:
         fd = fh.fileno()
     except OSError:  # io.BytesIO has no descriptor
         fd = None
     if fd is not None and hasattr(os, "preadv"):
-        if read:
-            return lambda buf, offset: os.preadv(fd, [buf], offset)
-        return lambda buf, offset: os.pwrite(fd, buf, offset)
-    lock = threading.Lock()
-    method = fh.readinto if read else fh.write
+        return lambda buf, offset: os.preadv(fd, [buf], offset)
 
-    def move(buf, offset):
-        with lock:
-            fh.seek(offset)
-            return method(buf)
+    def read(buf, offset):
+        fh.seek(offset)
+        return fh.readinto(buf)
 
-    return move
+    return read
 
 
 class SimmWriter:
     """A block source that writes each block ``source`` fills to the binary
-    file ``fh``, at its offset in the SIMM layout; the header and id lists are
-    written first. The file is complete once every block has been filled, in
-    any order and from any threads, so a block is written and scored in one pass."""
+    file ``fh`` as SIMM: the id lists and the header first, then each block
+    where the one before it ended. The file is complete once every block has
+    been filled in order, so a block is written and scored in one pass."""
 
     def __init__(self, source, fh) -> None:
-        self.source, self.rows, self.cols, self.shape = source, source.rows, source.cols, source.shape
-        self._pwrite = _positional(fh, read=False)
+        self.source, self.rows, self.cols, self.shape, self._fh = source, source.rows, source.cols, source.shape, fh
         nrows, ncols = self.shape
-        self._write(MAGIC + bytes([VERSION]) + struct.pack("<II", nrows, ncols), 0)
-        self._write(_pack_ids(self.rows) + _pack_ids(self.cols), _HEADER_BYTES + 8 * nrows * ncols)
-
-    def _write(self, data, offset: int) -> None:
-        data = memoryview(data)
-        while data:
-            written = self._pwrite(data, offset)
-            data, offset = data[written:], offset + written
+        fh.seek(_HEADER_BYTES + 8 * nrows * ncols)
+        fh.write(_pack_ids(self.rows) + _pack_ids(self.cols))
+        fh.seek(0)
+        fh.write(MAGIC + bytes([VERSION]) + struct.pack("<II", nrows, ncols))
 
     @contextmanager
     def blocks(self, rows: int):
@@ -317,19 +305,18 @@ class SimmWriter:
 
             def write(start, stop, out):
                 block = fill(start, stop, out)
-                flat = np.ascontiguousarray(block, "<f8").reshape(-1).view(np.uint8)
-                self._write(flat, _HEADER_BYTES + 8 * start * self.shape[1])
+                self._fh.write(np.ascontiguousarray(block, "<f8").reshape(-1).view(np.uint8))
                 return block
 
             yield write
 
 
 @contextmanager
-def _named(name):
-    """Put ``name`` in front of a FrameBiasError raised in the block, unless it is None."""
+def _named(name, kind=FrameBiasError):
+    """Put ``name`` in front of a ``kind`` of FrameBiasError raised in the block, unless it is None."""
     try:
         yield
-    except FrameBiasError as err:
+    except kind as err:
         if name is None:
             raise
         raise type(err)(f"{name}: {err}") from None
@@ -342,10 +329,9 @@ class SimmReader:
     Opening decodes and checks the header, the file's length and both id
     lists, with the diagnostics ``from_binary`` gives. ``load`` then reads
     every value into a ``SimilarityMatrix``. A block of rows is one read; the
-    blocks of ``T`` are cut from groups of file columns (``_ColumnGroups``),
+    blocks of ``T`` are cut from groups of file columns (``_column_blocks``),
     so the matrix is never held whole. Errors of those reads put ``name`` in
-    front. The reader reads with positional reads, so several threads may
-    read at once; it does not close the file.
+    front. The reader reads with positional reads; it does not close the file.
     """
 
     def __init__(self, fh, name=None) -> None:
@@ -373,7 +359,7 @@ class SimmReader:
         _check_ids(cols, "col")
         self.name, self.size, self.shape = name, size, (nrows, ncols)
         self.rows, self.cols = rows, cols
-        self._pread = _positional(fh, read=True)
+        self._pread = _positional(fh)
 
     @property
     def T(self) -> _Transposed:
@@ -415,71 +401,32 @@ class SimmReader:
 
     @contextmanager
     def _column_blocks(self, rows: int):
-        yield _ColumnGroups(self, rows).fill
+        """The blocks of ``T``, cut from groups of file columns a multiple of
+        ``rows`` wide, within ``_GROUP_BYTES``. The block at a group's first
+        column reads the group into the one group buffer, one file row at a
+        time; blocks are filled in order, so the group before is copied out."""
+        nrows, ncols = self.shape
+        width = max(1, _GROUP_BYTES // (8 * max(1, nrows * rows))) * rows
+        buffer = np.empty(nrows * min(width, ncols), "<f8")
+
+        def fill(start, stop, out):
+            first = start - start % width
+            span = min(width, ncols - first)
+            group = buffer[: nrows * span].reshape(nrows, span)
+            with _named(self.name):
+                if start == first:
+                    self._read_columns(start, group)
+                _copy_transposed(out, group[:, start - first : stop - first])
+                _check_block(out.T, self.rows, self.cols[start:stop])
+            return out
+
+        yield fill
 
     def load(self) -> SimilarityMatrix:
         """Read every value into one array, which the matrix keeps."""
         values = np.empty(self.shape, "<f8")
         self._read_rows(0, values)
         return SimilarityMatrix(rows=self.rows, cols=self.cols, values=values)
-
-
-class _ColumnGroups:
-    """The blocks of a SIMM file's transposed values, cut from groups of file
-    columns. A group is a multiple of the block width ``rows`` wide, within
-    ``_GROUP_BYTES``. The block at a group's first column reads the group, one
-    file row at a time, on the thread that asked for it, into the one group
-    buffer once every block of the group before has been copied out; the
-    group's other blocks wait for it. Blocks are asked for in order, so no
-    group is read ahead. A failed read is kept for the group, and each of its
-    blocks raises it."""
-
-    def __init__(self, file: SimmReader, rows: int) -> None:
-        nrows, ncols = file.shape
-        self.file = file
-        self.width = width = max(1, _GROUP_BYTES // (8 * max(1, nrows * rows))) * rows
-        # blocks of each group not yet copied out
-        self.left = [len(range(first, min(first + width, ncols), rows)) for first in range(0, ncols, width)]
-        self.buffer = np.empty(nrows * min(width, ncols), "<f8")
-        self.groups = {}  # group -> its values, or the error that ended its read
-        self.changed = threading.Condition()
-
-    def _read(self, g: int) -> None:
-        nrows, ncols = self.file.shape
-        with self.changed:
-            while g and self.left[g - 1]:
-                self.changed.wait()
-            self.groups.pop(g - 1, None)
-        first = g * self.width
-        width = min(self.width, ncols - first)
-        group = self.buffer[: nrows * width].reshape(nrows, width)
-        try:
-            self.file._read_columns(first, group)
-        except BaseException as error:  # re-raised by each block of this group
-            group = error
-        with self.changed:
-            self.groups[g] = group
-            self.changed.notify_all()
-
-    def fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        g, at = divmod(start, self.width)
-        with _named(self.file.name):
-            try:
-                if not at:
-                    self._read(g)
-                with self.changed:
-                    while g not in self.groups:
-                        self.changed.wait()
-                    group = self.groups[g]
-                if isinstance(group, BaseException):
-                    raise group
-                _copy_transposed(out, group[:, at : at + stop - start])
-            finally:
-                with self.changed:
-                    self.left[g] -= 1
-                    self.changed.notify_all()
-            _check_block(out.T, self.file.rows, self.file.cols[start:stop])
-        return out
 
 
 def _write_simm(source, fh) -> None:

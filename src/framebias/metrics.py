@@ -51,12 +51,13 @@ def _each_block(source, score, block_scores: int | None = None, workers: int | N
     ``_WORKERS``) threads, this one included.
 
     A block holds about ``block_scores`` (``_BLOCK_SCORES``) scores, at least
-    one row. Each thread has the source fill the blocks it takes into one
-    buffer that it reuses (a matrix in memory hands out views of its rows; for
-    v2t, ``matrix.T`` copies its columns, so no transposed matrix is made).
+    one row. Blocks are taken and filled under one lock, one at a time and in
+    order, and scored outside it. Each thread fills its blocks into one buffer
+    that it reuses (a matrix in memory hands out views of its rows; for v2t,
+    ``matrix.T`` copies its columns, so no transposed matrix is made).
     ``scratch`` is a second such buffer of the block's shape, free for the
-    callback to overwrite. Both are valid only during the call. After an
-    error no further block starts, and the lowest failing block's error is
+    callback to overwrite. Both are valid only during the call. After an error
+    no block is taken or filled, and the lowest failing block's error is
     raised, as a serial loop raises it.
     """
     bounds = _block_bounds(source, block_scores)
@@ -71,13 +72,17 @@ def _each_block(source, score, block_scores: int | None = None, workers: int | N
     buffers = [np.empty((2, min(rows, source.shape[0]), source.shape[1])) for _ in range(workers)]
 
     def work(block, scratch):
-        while not errors:
+        while True:
             with lock:
-                start, stop = next(pending, (None, None))
-            if start is None:
-                return
+                if errors or (taken := next(pending, None)) is None:
+                    return
+                start, stop = taken
+                try:
+                    scores = fill(start, stop, block[: stop - start])
+                except BaseException as error:
+                    errors[start] = error
+                    return
             try:
-                scores = fill(start, stop, block[: stop - start])
                 score(start, stop, scores, scratch[: stop - start])
             except BaseException as error:
                 errors[start] = error

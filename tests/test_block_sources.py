@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 import threading
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -146,7 +146,7 @@ def test_every_simulated_file_is_the_saved_collected_matrix(tmp_path, monkeypatc
 @pytest.mark.parametrize("where", ["fill", "write"])
 def test_a_failed_condition_leaves_no_file(tmp_path, monkeypatch, capsys, where):
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 48)  # the sweep's blocks: one row of 24
-    calls = itertools.count(1)  # next() on it is atomic: the blocks are filled on several threads
+    calls = itertools.count(1)  # fills, or writes, so far
     if where == "fill":
         real = _Synthesis._fill
 
@@ -157,14 +157,28 @@ def test_a_failed_condition_leaves_no_file(tmp_path, monkeypatch, capsys, where)
 
         monkeypatch.setattr(_Synthesis, "_fill", fill)
     else:
-        real = os.pwrite
+        real = cli.open_atomic
 
-        def pwrite(fd, data, offset):
-            if next(calls) == 30:  # and the ids and header: in the second condition
-                raise OSError(28, "No space left on device")
-            return real(fd, data, offset)
+        class Full:
+            """A binary output file whose 30th write finds the disk full."""
 
-        monkeypatch.setattr(os, "pwrite", pwrite)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def seek(self, *args):
+                return self.fh.seek(*args)
+
+            def write(self, data):
+                if next(calls) == 30:  # and the ids and header: in the second condition
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        @contextmanager
+        def open_atomic(path, mode="w"):
+            with real(path, mode) as fh:
+                yield Full(fh) if "b" in mode else fh
+
+        monkeypatch.setattr(cli, "open_atomic", open_atomic)
     out = tmp_path / "sweep"
     assert cli.main([*SIM_ARGS, "--out-dir", str(out)]) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1

@@ -9,6 +9,7 @@ tests make blocks small so that every matrix spans many of them.
 import sys
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -117,6 +118,52 @@ def test_every_block_is_scored_once_under_frequent_switches(monkeypatch):
 
 class BlockFailure(Exception):
     pass
+
+
+class Recording:
+    """A block source of one-row blocks whose ``fill`` records each block it
+    starts, and whether another fill was still running then; it gives way to
+    other threads halfway, and raises BlockFailure at block ``fail_at``."""
+
+    def __init__(self, nrows, fail_at=None):
+        self.rows, self.cols, self.shape = tuple(map(str, range(nrows))), ("a", "b"), (nrows, 2)
+        self.fail_at, self.started, self.running = fail_at, [], set()
+
+    @contextmanager
+    def blocks(self, rows):
+        def fill(start, stop, out):
+            self.started.append((start, bool(self.running)))
+            self.running.add(start)
+            try:
+                time.sleep(0)
+                if start == self.fail_at:
+                    raise BlockFailure(start)
+                out[...] = start
+                return out
+            finally:
+                self.running.discard(start)
+
+        yield fill
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("fail_at", [None, 0, 17])
+def test_blocks_are_filled_one_at_a_time_in_order(monkeypatch, workers, fail_at):
+    monkeypatch.setattr(metrics, "_WORKERS", workers)
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 2)  # one row per block
+    source, scored = Recording(60, fail_at), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(BlockFailure) if fail_at is not None else nullcontext():
+            metrics._each_block(source, lambda start, stop, scores, scratch: scored.append(scores[0, 0]))
+    finally:
+        sys.setswitchinterval(interval)
+    # no fill overlaps another, they come in block order, and none follows a
+    # failing one; every block filled before it is scored
+    filled = 60 if fail_at is None else fail_at + 1
+    assert source.started == [(start, False) for start in range(filled)]
+    assert sorted(scored) == list(map(float, range(60 if fail_at is None else fail_at)))
 
 
 @pytest.mark.parametrize("workers", WORKERS)

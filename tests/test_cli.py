@@ -279,6 +279,43 @@ def test_sum_sims_mismatch(workspace, capsys):
     assert "id mappings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, place",
+    [
+        (",c03,c06,c08\nc03,0.9,0.2,0.5\nc09,0.1,0.8,0.3\nc08,0.9,0.1,0.7\n", " at row 1: 'c09' against 'c06'"),
+        (",c03,c06,c09\nc03,0.9,0.2,0.5\nc06,0.1,0.8,0.3\nc08,0.9,0.1,0.7\n", " at column 2: 'c09' against 'c08'"),
+        (",c03\nc03,1.0\n", ": shape 1x1 against 3x3"),
+    ],
+    ids=["row", "column", "shape"],
+)
+def test_sum_sims_names_the_input_and_the_place_where_ids_differ(workspace, capsys, text, place):
+    (workspace / "fixtures/other.csv").write_text(text)
+    argv = ["sum-sims", "fixtures/tiny_sim.csv", "fixtures/tiny_sim.csv", "fixtures/other.csv", "--out", "out/x.csv"]
+    assert main(argv) == 1
+    message = "fixtures/other.csv: id mappings differ from fixtures/tiny_sim.csv's" + place
+    assert capsys.readouterr() == ("", f"framebias sum-sims: error: {message}\n")
+    assert list((workspace / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["q.csv", "q.simm"])
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["eval", "--out", "out/e.json"], "matrix column id 'q' does not resolve to a clip"),
+        (["inspect", "--query", "c03", "--topk", "1"], "gallery id 'q' does not resolve to a clip"),
+    ],
+)
+def test_an_id_that_does_not_resolve_is_named_with_the_matrix_path(workspace, capsys, name, command, message):
+    # column q is no clip of the annotations, and c03's best match
+    (workspace / "fixtures/q.csv").write_text(",c03,c06,q\nc03,0.1,0.2,0.9\nc06,0.1,0.8,0.3\nc08,0.9,0.1,0.7\n")
+    if name.endswith(".simm"):
+        assert main(["sum-sims", "fixtures/q.csv", "--out", f"fixtures/{name}"]) == 0
+    argv = [command[0], "--sim", f"fixtures/{name}", "--annotations", "fixtures/tiny.csv", *command[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"framebias {command[0]}: error: fixtures/{name}: {message}\n")
+    assert list((workspace / "out").iterdir()) == []
+
+
 def test_parse_error_exit_code(workspace, capsys):
     (workspace / "fixtures/broken.csv").write_text("clip_id,video_id\nx,y\n")
     assert main(["audit", "--annotations", "fixtures/broken.csv", "--out", "out/x.json"]) == 1

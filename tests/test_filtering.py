@@ -379,14 +379,16 @@ class TestSumSimilarity:
         a = self._matrix([[1, 2], [3, 4]])
         b = SimilarityMatrix(rows=("q1", "q2"), cols=("g1", "g2", "g3"),
                              values=np.zeros((2, 3)))
-        with pytest.raises(ShapeMismatchError):
+        message = r"^matrix 1: id mappings differ from matrix 0's: shape 2x3 against 2x2$"
+        with pytest.raises(ShapeMismatchError, match=message):
             sum_similarity_matrices([a, b])
 
     def test_id_mismatch(self):
         a = self._matrix([[1, 2], [3, 4]])
         b = self._matrix([[1, 2], [3, 4]], cols=("g1", "gX"))
-        with pytest.raises(ShapeMismatchError):
-            sum_similarity_matrices([a, b])
+        message = r"^matrix 2: id mappings differ from matrix 0's at column 1: 'gX' against 'g2'$"
+        with pytest.raises(ShapeMismatchError, match=message):
+            sum_similarity_matrices([a, a, b])
 
     def test_empty_list(self):
         with pytest.raises(ValueError):

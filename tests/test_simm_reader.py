@@ -245,13 +245,20 @@ def test_report_over_the_reader_is_bit_identical(tmp_path, monkeypatch, shape, w
     monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * 23 * 2 * 3)  # and groups of three blocks
     sim, dataset = random_eval(np.random.default_rng(sum(shape)), *shape, 3)
     save_matrix(sim, tmp_path / "m.simm")
+    reads = []
+    read_columns = matrices.SimmReader._read_columns
+
+    def counted(reader, start, out):
+        reads.append((start, out.shape[1]))
+        return read_columns(reader, start, out)
+
+    monkeypatch.setattr(matrices.SimmReader, "_read_columns", counted)
     with open_matrix(tmp_path / "m.simm") as reader:
-        if shape == (23, 37):  # six groups of six columns and a last one of one
-            groups = matrices._ColumnGroups(reader, 2)
-            assert groups.width == 6 and groups.left == [3] * 6 + [1]
         in_memory = outcome(monkeypatch, workers, metrics.metrics_report, sim, dataset, threshold=threshold, depth=depth)
         streamed = outcome(monkeypatch, workers, metrics.metrics_report, reader, dataset, threshold=threshold, depth=depth)
     assert streamed == in_memory
+    if shape == (23, 37):  # six groups of six columns and a last one of one, each read once
+        assert reads == [(start, 6) for start in range(0, 36, 6)] + [(36, 1)]
 
 
 def test_report_over_the_reader_holds_little_of_the_matrix(tmp_path):
@@ -281,8 +288,8 @@ def test_the_v2t_pass_holds_one_column_group(tmp_path, monkeypatch):
     save_matrix(SimilarityMatrix(rows=ids, cols=ids, values=values), tmp_path / "m.simm")
     del values
     rows = metrics._BLOCK_SCORES // n
+    group = 8 * n * max(1, matrices._GROUP_BYTES // (8 * n * rows)) * rows  # a group's bytes
     with open_matrix(tmp_path / "m.simm") as reader:
-        group = 8 * n * matrices._ColumnGroups(reader, rows).width
         assert n > 2 * group // (8 * n)  # more than two groups: two buffers would both be filled
         peak, _ = traced_peak(metrics._each_block, reader.T, lambda *block: None)
     # one group, and each thread's block and scratch buffers, with 1 MB for the rest
