@@ -1,5 +1,7 @@
 """Shares of independent work run at once, each share after the first in a
-forked child that pickles its result into a pipe.
+forked child that pickles its result into a pipe: simulate's seeds, and the
+shares of eval's queries in each direction. Both load this module (and so
+pickle) only on that path, not as the CLI is imported.
 
 A process that runs more than one thread must not fork: the child would copy
 locks that other threads hold. The CLI pins OpenBLAS to one thread unless the

@@ -15,7 +15,8 @@ Every matrix is read, written and scored as a *block source*: ``rows``,
 multiple of ``rows``), written into the C-contiguous ``out`` or as a view
 where they are held so, and refuses a non-finite value. ``fill`` is called
 one block at a time, in ascending order of ``start``; a source that writes
-or is transposed is filled block by block from the first. A
+is filled block by block from the first, while a pass over any other may
+start at any block, as eval's shares of queries do. A
 ``SimilarityMatrix``, an open SIMM file (``SimmReader``) and the simulator's
 per-condition generator provide it; the first two also give ``T``, their
 transpose as a source, which eval scores for v2t.
@@ -26,7 +27,8 @@ the header, the file's length and the id lists are checked first (the id
 lists a few bytes at a time, so a padded file is refused from its length),
 and values are read on demand with positional reads: whole (``load_matrix``,
 ``from_binary``), a block of rows in one read, or, for ``T``, blocks cut from
-column groups, each group read into one buffer by its first block. Any source
+column groups, each group read into one buffer by the first block of it that
+is filled (in one read where a group spans every column). Any source
 is saved a block of rows at a time; a ``SimmWriter`` writes each block where
 the one before it ended. A matrix keeps the array it is handed when that
 array is float64, C-contiguous and owns its data, and marks it read-only; any
@@ -379,7 +381,10 @@ class SimmReader:
 
     def _read_columns(self, start: int, out: np.ndarray) -> None:
         """Fill the C-contiguous ``out`` with columns from ``start`` on of
-        every row, in one read per row."""
+        every row, in one read per row, or in one read where they are every
+        column, which lie contiguous in the file."""
+        if out.shape[1] == self.shape[1]:
+            return self._read_rows(0, out)
         width, step = 8 * out.shape[1], 8 * self.shape[1]
         buf = memoryview(out.reshape(-1).view(np.uint8))
         pread, offset = self._pread, _HEADER_BYTES + 8 * start
@@ -402,20 +407,24 @@ class SimmReader:
     @contextmanager
     def _column_blocks(self, rows: int):
         """The blocks of ``T``, cut from groups of file columns a multiple of
-        ``rows`` wide, within ``_GROUP_BYTES``. The block at a group's first
-        column reads the group into the one group buffer, one file row at a
-        time; blocks are filled in order, so the group before is copied out."""
+        ``rows`` wide, within ``_GROUP_BYTES``. A block whose group is not the
+        one the group buffer holds reads it there (``_read_columns``); blocks
+        are filled in order, so the group before is copied out, and a pass
+        may start at any block."""
         nrows, ncols = self.shape
         width = max(1, _GROUP_BYTES // (8 * max(1, nrows * rows))) * rows
         buffer = np.empty(nrows * min(width, ncols), "<f8")
+        held = None  # the first column of the group in the buffer
 
         def fill(start, stop, out):
+            nonlocal held
             first = start - start % width
             span = min(width, ncols - first)
             group = buffer[: nrows * span].reshape(nrows, span)
             with _named(self.name):
-                if start == first:
-                    self._read_columns(start, group)
+                if first != held:
+                    self._read_columns(first, group)
+                    held = first
                 _copy_transposed(out, group[:, start - first : stop - first])
                 _check_block(out.T, self.rows, self.cols[start:stop])
             return out

@@ -12,18 +12,25 @@ row (``positions``), and a GT rank or a top k is a compare count or a partial
 partition (``gt_ranks``, ``top_k``). Each kernel resolves tie-free rows itself
 and hands a row with a tie it cannot order to ``ranking``.
 Blocks of queries are scored on a few threads; each writes only its own
-queries' results, so they do not depend on the thread count.
+queries' results, so they do not depend on the thread count. Where
+``forking.plan`` allows P > 1 processes, ``metrics_report`` cuts each
+direction's queries into P contiguous shares at block bounds: process p
+scores share p of t2v and then of v2t, the command's own process share 0
+and forked children the rest, each on its share of the usable CPUs, and the
+shares' per-query results are joined in query order, so they do not depend
+on the process count either.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from framebias._numpy import np
 from framebias.dataset import Dataset, frame_length
-from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchError
+from framebias.errors import DegenerateInputError, FrameBiasError, NotFoundError, ShapeMismatchError
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 
 DIRECTIONS = ("t2v", "v2t", "avg")
@@ -204,14 +211,14 @@ def recall_at_k(ranks, k: int) -> float:
     return sum(1 for r in ranks if r <= k) / len(ranks)
 
 
-def _scan(source, relevance, threshold=1.0, depth=None, gt=None):
+def _scan(source, relevance, threshold=1.0, depth=None, gt=None, workers=None):
     """Per-query nDCG and AP and the index-tie, optimistic and pessimistic ranks
     of gallery indices ``gt``. nDCG is NaN where the ideal DCG is not positive
     (negative dense relevance can cancel it), AP where nothing reaches the
     threshold.
 
-    ``source`` is a block source of the scores. ``relevance`` is a dense
-    array oriented like it, or the verb and
+    ``source`` is a block source of the scores, scored on up to ``workers``
+    threads. ``relevance`` is a dense array oriented like it, or the verb and
     noun codes ``(qv, qn, gv, gn)`` of queries and gallery; the ideal DCG of
     class relevance comes in closed form from its counts of 1.0 and 0.5.
     """
@@ -254,8 +261,75 @@ def _scan(source, relevance, threshold=1.0, depth=None, gt=None):
             at = np.flatnonzero(col == gt[start:stop][row])
             ranks[:, start:stop] = rank[at], left[at] + 1, right[at]
 
-    _each_block(source, score)
+    _each_block(source, score, None, workers)
     return ndcg, ap, ranks
+
+
+class _Share:
+    """Rows ``lo:hi`` of a block source, ``lo`` one of its block bounds, as a block source."""
+
+    def __init__(self, source, lo: int, hi: int) -> None:
+        self.source, self.lo = source, lo
+        self.rows, self.cols, self.shape = source.rows[lo:hi], source.cols, (hi - lo, source.shape[1])
+
+    @contextmanager
+    def blocks(self, rows: int):
+        with self.source.blocks(rows) as fill:
+            yield lambda start, stop, out: fill(self.lo + start, self.lo + stop, out)
+
+
+def _shares(source, processes: int) -> list[tuple[int, int]]:
+    """``processes`` contiguous query ranges ``(lo, hi)`` of a block source
+    (with at least as many blocks), cut at its block bounds, of nearly equal
+    block counts."""
+    bounds = _block_bounds(source)
+    cuts = [bounds[len(bounds) * p // processes][0] for p in range(processes)]
+    return list(zip(cuts, cuts[1:] + [source.shape[0]]))
+
+
+def _scan_share(source, codes, gt, lo: int, hi: int, threshold, depth, workers=None):
+    """``_scan`` of the queries ``lo:hi`` (a share from ``_shares``) of a
+    direction given whole: its block source, the class codes ``(qv, qn, gv,
+    gn)`` of its queries and gallery, and each query's GT column, -1 where it
+    has none."""
+    qv, qn, gv, gn = codes
+    share = _Share(source, lo, hi)
+    return _scan(share, (qv[lo:hi], qn[lo:hi], gv, gn), threshold, depth, np.maximum(gt[lo:hi], 0), workers)
+
+
+def _scan_directions(directions, threshold, depth) -> list:
+    """The ``_scan`` of each direction ``(source, codes, gt)`` (see
+    ``_scan_share``), in one pass over each source, or in shares of its
+    queries on ``forking.plan``'s processes where that plans more than one.
+
+    Process p scans share p of each direction in turn, up to the first that
+    fails. The error of the first failing (direction, share) in that order is
+    raised, which is the one a single pass raises.
+    """
+    from framebias import forking  # loads pickle: imported as a report runs, not with the CLI
+
+    processes, workers = forking.plan(min(len(_block_bounds(source)) for source, _, _ in directions))
+    if processes == 1:
+        return [_scan(source, codes, threshold, depth, np.maximum(gt, 0)) for source, codes, gt in directions]
+    cuts = [_shares(source, processes) for source, _, _ in directions]
+
+    def scan(p):
+        scans = []
+        for (source, codes, gt), shares in zip(directions, cuts):
+            try:
+                scans.append(_scan_share(source, codes, gt, *shares[p], threshold, depth, workers))
+            except (FrameBiasError, ValueError, OSError) as error:
+                return scans, error
+        return scans, None
+
+    results = forking.fork_map(scan, list(range(processes)))
+    failed = [(len(scans), p) for p, (scans, error) in enumerate(results) if error is not None]
+    if failed:
+        raise results[min(failed)[1]][1]
+    return [
+        tuple(np.concatenate(parts, axis=-1) for parts in zip(*(scans[d] for scans, _ in results)))
+        for d in range(len(directions))
+    ]
 
 
 _DEGENERATE = ("its ideal DCG is not positive", "nothing is relevant at the threshold")  # per metric
@@ -412,7 +486,8 @@ def metrics_report(sim, dataset: Dataset, threshold: float = 1.0, depth: int | N
     Relevance comes from the clips' action classes; the ground-truth gallery
     item of a query is the entry with the same id on the other axis. ``sim``
     is any block source (see ``matrices``): an open SIMM file is scored block
-    by block as it is read.
+    by block as it is read, on forked processes where ``forking.plan``
+    allows more than one.
     """
     for side, ids in (("row", sim.rows), ("column", sim.cols)):
         missing = next((i for i in ids if i not in dataset.by_id), None)
@@ -427,7 +502,7 @@ def metrics_report(sim, dataset: Dataset, threshold: float = 1.0, depth: int | N
     for source, query_codes, gallery_codes in ((sim, rows, cols), (sim.T, cols, rows)):
         gallery = {g: j for j, g in enumerate(source.cols)}
         gt = np.array([gallery.get(q, -1) for q in source.rows])
-        scan = _scan(source, (*query_codes, *gallery_codes), threshold, depth, np.maximum(gt, 0))
-        directions.append(_direction_metrics(*scan, gt >= 0))
-    t2v, v2t = directions
+        directions.append((source, (*query_codes, *gallery_codes), gt))
+    scans = _scan_directions(directions, threshold, depth)
+    t2v, v2t = (_direction_metrics(*scan, gt >= 0) for scan, (_, _, gt) in zip(scans, directions))
     return MetricsReport(t2v, v2t, 0.5 * (t2v.ndcg + v2t.ndcg), 0.5 * (t2v.map + v2t.map))
