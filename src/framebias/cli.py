@@ -14,7 +14,7 @@ import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
-from framebias import __version__
+from framebias import __version__, forking
 from framebias.atomic import open_atomic
 from framebias.audit import (
     class_stats,
@@ -157,7 +157,7 @@ def _open_scores(path):
 def cmd_eval(args) -> int:
     dataset = load_annotations(args.annotations, args.format)
     with _open_scores(args.sim) as sim, _named(args.sim, NotFoundError):  # a SIMM file is ranked as it is read
-        report = metrics_report(sim, dataset, threshold=args.threshold, depth=args.depth)
+        report = metrics_report(sim, dataset, threshold=args.threshold, depth=args.depth, fork=True)
     payload = {"threshold": args.threshold, "depth": args.depth, **metrics_report_dict(report)}
     write_report(args.out, build_envelope("eval", _echo(args), payload))
     return 0
@@ -178,8 +178,6 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from framebias import forking  # loads pickle, which only a sweep needs
-
     config = SimConfig(
         num_classes=args.classes,
         train_per_class=args.train_per_class,

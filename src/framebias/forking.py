@@ -1,7 +1,7 @@
 """Shares of independent work run at once, each share after the first in a
 forked child that pickles its result into a pipe: simulate's seeds, and the
-shares of eval's queries in each direction. Both load this module (and so
-pickle) only on that path, not as the CLI is imported.
+shares of eval's queries in each direction, where the CLI asks for them.
+pickle is loaded only as ``fork_map`` runs, not as the CLI is imported.
 
 A process that runs more than one thread must not fork: the child would copy
 locks that other threads hold. The CLI pins OpenBLAS to one thread unless the
@@ -14,11 +14,13 @@ threads run, such as a library caller's numpy with BLAS threads, or without
 from __future__ import annotations
 
 import os
-import pickle
 import sys
 from contextlib import ExitStack
 
-from framebias.metrics import usable_cpus
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def plan(items: int) -> tuple[int, int | None]:
@@ -37,6 +39,8 @@ def _child(work, share, sink) -> None:
     """Send ``work(share)`` into ``sink`` and leave through ``os._exit``, so
     that a child runs none of its parent's exit code and flushes none of its
     buffers, whatever happens."""
+    import pickle
+
     code = 1
     try:
         sink.write(pickle.dumps(work(share)))
@@ -57,6 +61,8 @@ def fork_map(work, shares: list) -> list:
     the child is waited for; every child is waited for, also after an error in
     this process's share or in another wait.
     """
+    import pickle  # loaded as work is shared, not with the CLI
+
     pids, payloads, codes = [], {}, {}
 
     def reap(pid, pipe):

@@ -12,18 +12,17 @@ row (``positions``), and a GT rank or a top k is a compare count or a partial
 partition (``gt_ranks``, ``top_k``). Each kernel resolves tie-free rows itself
 and hands a row with a tie it cannot order to ``ranking``.
 Blocks of queries are scored on a few threads; each writes only its own
-queries' results, so they do not depend on the thread count. Where
-``forking.plan`` allows P > 1 processes, ``metrics_report`` cuts each
-direction's queries into P contiguous shares at block bounds: process p
-scores share p of t2v and then of v2t, the command's own process share 0
-and forked children the rest, each on its share of the usable CPUs, and the
-shares' per-query results are joined in query order, so they do not depend
-on the process count either.
+queries' results, so they do not depend on the thread count. Asked to fork
+(as the CLI's eval asks), ``metrics_report`` cuts each direction's queries
+into P contiguous shares at block bounds, where ``forking.plan`` allows
+P > 1 processes, at most ``_WORKERS``: process p scores share p of t2v and
+then of v2t on one thread, the calling process share 0 and forked children
+the rest, and the shares' per-query results are joined in query order, so
+they do not depend on the process count either.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,19 +30,13 @@ from dataclasses import dataclass
 from framebias._numpy import np
 from framebias.dataset import Dataset, frame_length
 from framebias.errors import DegenerateInputError, FrameBiasError, NotFoundError, ShapeMismatchError
+from framebias.forking import fork_map, plan, usable_cpus
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 
 DIRECTIONS = ("t2v", "v2t", "avg")
 RECALL_KS = (1, 5, 10)  # cutoffs of each direction's recall
 _BLOCK_SCORES = 1 << 17  # scores ranked at once: a block's scratch arrays stay small
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, where the OS has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-_WORKERS = min(4, usable_cpus())  # threads that score blocks at once: the usable CPUs, at most four
+_WORKERS = min(4, usable_cpus())  # threads (or processes) that score blocks at once: the usable CPUs, at most four
 
 
 def _block_bounds(source, scores: int | None = None) -> list[tuple[int, int]]:
@@ -297,20 +290,20 @@ def _scan_share(source, codes, gt, lo: int, hi: int, threshold, depth, workers=N
     return _scan(share, (qv[lo:hi], qn[lo:hi], gv, gn), threshold, depth, np.maximum(gt[lo:hi], 0), workers)
 
 
-def _scan_directions(directions, threshold, depth) -> list:
+def _scan_directions(directions, threshold, depth, fork: bool) -> list:
     """The ``_scan`` of each direction ``(source, codes, gt)`` (see
-    ``_scan_share``), in one pass over each source, or in shares of its
-    queries on ``forking.plan``'s processes where that plans more than one.
+    ``_scan_share``) in shares of its queries: one share, or with ``fork``
+    one per process that ``forking.plan`` gives, at most ``_WORKERS``, each
+    on one thread, so that no more blocks are scored at once than one process
+    scores.
 
     Process p scans share p of each direction in turn, up to the first that
     fails. The error of the first failing (direction, share) in that order is
     raised, which is the one a single pass raises.
     """
-    from framebias import forking  # loads pickle: imported as a report runs, not with the CLI
-
-    processes, workers = forking.plan(min(len(_block_bounds(source)) for source, _, _ in directions))
-    if processes == 1:
-        return [_scan(source, codes, threshold, depth, np.maximum(gt, 0)) for source, codes, gt in directions]
+    blocks = min(len(_block_bounds(source)) for source, _, _ in directions)
+    processes = plan(min(blocks, _WORKERS))[0] if fork else 1
+    workers = None if processes == 1 else 1
     cuts = [_shares(source, processes) for source, _, _ in directions]
 
     def scan(p):
@@ -322,7 +315,7 @@ def _scan_directions(directions, threshold, depth) -> list:
                 return scans, error
         return scans, None
 
-    results = forking.fork_map(scan, list(range(processes)))
+    results = fork_map(scan, list(range(processes)))
     failed = [(len(scans), p) for p, (scans, error) in enumerate(results) if error is not None]
     if failed:
         raise results[min(failed)[1]][1]
@@ -480,14 +473,17 @@ def _direction_metrics(ndcg, ap, all_ranks, has_gt) -> DirectionMetrics:
     )
 
 
-def metrics_report(sim, dataset: Dataset, threshold: float = 1.0, depth: int | None = None) -> MetricsReport:
+def metrics_report(
+    sim, dataset: Dataset, threshold: float = 1.0, depth: int | None = None, fork: bool = False
+) -> MetricsReport:
     """Full two-direction evaluation of a similarity matrix against a dataset.
 
     Relevance comes from the clips' action classes; the ground-truth gallery
     item of a query is the entry with the same id on the other axis. ``sim``
     is any block source (see ``matrices``): an open SIMM file is scored block
-    by block as it is read, on forked processes where ``forking.plan``
-    allows more than one.
+    by block as it is read. With ``fork`` (the CLI's eval), the queries are
+    scored in shares on forked processes where ``forking.plan`` allows more
+    than one; otherwise the calling process is never forked.
     """
     for side, ids in (("row", sim.rows), ("column", sim.cols)):
         missing = next((i for i in ids if i not in dataset.by_id), None)
@@ -503,6 +499,6 @@ def metrics_report(sim, dataset: Dataset, threshold: float = 1.0, depth: int | N
         gallery = {g: j for j, g in enumerate(source.cols)}
         gt = np.array([gallery.get(q, -1) for q in source.rows])
         directions.append((source, (*query_codes, *gallery_codes), gt))
-    scans = _scan_directions(directions, threshold, depth)
+    scans = _scan_directions(directions, threshold, depth, fork)
     t2v, v2t = (_direction_metrics(*scan, gt >= 0) for scan, (_, _, gt) in zip(scans, directions))
     return MetricsReport(t2v, v2t, 0.5 * (t2v.ndcg + v2t.ndcg), 0.5 * (t2v.map + v2t.map))

@@ -28,16 +28,19 @@ NROWS, NCOLS = 700, 650  # four blocks of queries in each direction at the defau
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="eval forks only with os.fork")
 
 
-def script(cpus=None, group_columns=None, fail_from=None) -> str:
+def script(cpus=None, group_columns=None, fail_from=None, block_scores=None) -> str:
     """``COUNT_FORKS`` on ``cpus`` usable CPUs: one pins the process to one
-    CPU, more patch ``forking.usable_cpus``, None leaves both. If given,
-    column groups are ``group_columns`` wide, and a read of the columns from
+    CPU, more stand in for its affinity mask before framebias is imported,
+    None leaves both. If given, column groups are ``group_columns`` wide,
+    blocks hold ``block_scores`` scores, and a read of the columns from
     ``fail_from`` on raises AnnotationParseError."""
     lines = ["import os"]
     if cpus == 1:
         lines.append("os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])")
     elif cpus is not None:
-        lines += ["from framebias import forking", f"forking.usable_cpus = lambda: {cpus}"]
+        lines.append(f"os.sched_getaffinity = lambda pid: set(range({cpus}))")
+    if block_scores is not None:
+        lines += ["from framebias import metrics", f"metrics._BLOCK_SCORES = {block_scores}"]
     if group_columns is not None:
         lines += ["from framebias import matrices", f"matrices._GROUP_BYTES = 8 * {NROWS} * {group_columns}"]
     if fail_from is not None:
@@ -125,6 +128,15 @@ def test_the_report_is_byte_identical_on_one_two_and_three_processes(work):
     assert reports[0] is not None and reports[1:] == reports[:1] * 2
     code, forks, stderr, report = run_eval(work, 2)  # one group of every column
     assert (code, forks, stderr, report) == (0, 1, "", reports[0])
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the process pins itself with sched_setaffinity")
+def test_an_eval_forks_at_most_four_processes(work):
+    # blocks of 16k scores: 28 in t2v and 29 in v2t, more than the CPUs
+    one = run_eval(work, 1, block_scores=1 << 14)
+    assert one[:3] == (0, 0, "") and one[3] is not None
+    assert run_eval(work, 8, block_scores=1 << 14) == (0, 3, "", one[3])
 
 
 @needs_fork
