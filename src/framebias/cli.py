@@ -8,14 +8,16 @@ errors exit 1 with a diagnostic on stderr; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
+from functools import partial
 from pathlib import Path
 
 from framebias import __version__, forking
-from framebias.atomic import open_atomic
+from framebias.atomic import open_atomic, open_temp, replace, temp_beside
 from framebias.audit import (
     class_stats,
     discrepancy_table,
@@ -28,7 +30,8 @@ from framebias.errors import DegenerateInputError, FrameBiasError, NotFoundError
 from framebias.filtering import FilterConfig, SumSource, filter_margin, filter_single_class
 from framebias.matrices import _named, open_matrix, save_matrix
 from framebias.metrics import inspect_query, metrics_report
-from framebias.reports import build_envelope, filter_report_dict, histogram_dict, metrics_report_dict, write_report
+from framebias.reports import build_envelope, filter_report_dict, histogram_dict, layout_report
+from framebias.reports import metrics_report_dict, write_report
 from framebias.simulate import SimConfig, bias_sweep, check_sweep
 
 
@@ -110,18 +113,48 @@ def cmd_audit(args) -> int:
     return 0
 
 
+def _write_filtered(args, filtered, envelope) -> None:
+    """Write the filtered CSV to ``--out`` and the report to ``--report`` at
+    once, as two shares of one ``fork_map`` (in turn, where ``forking.plan``
+    gives one process), each to a temp file beside its target. Once both are
+    whole, the CSV replaces its target and then the report. If either fails,
+    neither target is touched, and the CSV's error is raised before the
+    report's."""
+    outputs = [(args.out, partial(write_native_csv, filtered)), (args.report, partial(layout_report, envelope))]
+    temps = [temp_beside(path) for path, _ in outputs]
+
+    def write(i):
+        """The error that stops output ``i``, as a value, or None."""
+        try:
+            with open_temp(temps[i], outputs[i][0]) as fh:
+                outputs[i][1](fh)
+        except (FrameBiasError, ValueError, OSError) as error:
+            return error
+        return None
+
+    shares = [[0], [1]] if forking.plan(len(outputs))[0] > 1 else [[0, 1]]
+    try:
+        for error in sum(forking.fork_map(lambda share: list(map(write, share)), shares), []):
+            if error is not None:
+                raise error
+        for tmp, (path, _) in zip(temps, outputs):
+            replace(tmp, path)
+    finally:  # a temp file written but not renamed
+        for tmp in temps:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+
 def cmd_filter(args) -> int:
     dataset = load_annotations(args.annotations, args.format)
     filtered, report = filter_margin(
         dataset, FilterConfig(alpha=args.alpha, min_class_size=args.min_class_size)
     )
-    with open_atomic(args.out) as fh:
-        write_native_csv(filtered, fh)
     payload = {
         "filter": {"kind": "margin", "alpha": args.alpha, "min_class_size": args.min_class_size},
         **filter_report_dict(report),
     }
-    write_report(args.report, build_envelope("filter", _echo(args), payload))
+    _write_filtered(args, filtered, build_envelope("filter", _echo(args), payload))
     return 0
 
 
@@ -130,8 +163,6 @@ def cmd_filter_one(args) -> int:
     action_class = ActionClass(args.verb, args.noun)
     mode = "remove_long" if args.mode == "long" else "remove_short"
     filtered, report = filter_single_class(dataset, action_class, mode, args.fraction)
-    with open_atomic(args.out) as fh:
-        write_native_csv(filtered, fh)
     payload = {
         "filter": {
             "kind": "single_class",
@@ -141,7 +172,7 @@ def cmd_filter_one(args) -> int:
         },
         **filter_report_dict(report),
     }
-    write_report(args.report, build_envelope("filter_one", _echo(args), payload))
+    _write_filtered(args, filtered, build_envelope("filter_one", _echo(args), payload))
     return 0
 
 
@@ -345,11 +376,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_distinct_outputs(parser, args)
+    # no framebias structure holds a cycle, so the cyclic collector would
+    # only walk every parsed clip again and again (a ClipRecord, a tuple
+    # subclass, is never untracked); it is off while the command runs
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (FrameBiasError, ValueError, OSError) as err:
         print(f"framebias {args.command}: error: {err}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

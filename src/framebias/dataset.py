@@ -207,7 +207,7 @@ def _parse_rows(lines, columns: tuple[str, ...], split: str | None, label: str, 
             if name not in header:
                 raise AnnotationParseError(f"missing required column {name!r}")
         pick = itemgetter(*(header.index(name) for name in columns))
-        share = shared.setdefault
+        share, new = shared.setdefault, tuple.__new__
         for row in reader:
             if not row:
                 continue
@@ -227,9 +227,11 @@ def _parse_rows(lines, columns: tuple[str, ...], split: str | None, label: str, 
                     raise ValueError
             except ValueError:  # name the first bad field
                 start_i, stop_i, verb_i, noun_i = map(_int_field, (start, stop, verb, noun), _INT_FIELDS)
-            by_id[clip_id] = ClipRecord(
-                clip_id, share(video_id, video_id), row_split, start_i, stop_i, share(caption, caption), verb_i, noun_i
-            )
+            video_id, caption = share(video_id, video_id), share(caption, caption)
+            fields = clip_id, video_id, row_split, start_i, stop_i, caption, verb_i, noun_i
+            # the split is checked above, so a row whose span is valid is built
+            # as a tuple at once; ClipRecord builds one that is not, for its message
+            by_id[clip_id] = new(ClipRecord, fields) if 0 <= start_i <= stop_i else ClipRecord(*fields)
     except (csv.Error, AnnotationParseError, ValidationError) as err:
         kind = ValidationError if isinstance(err, ValidationError) else AnnotationParseError
         where = f"line {reader.line_num}: " if reader.line_num else ""  # no line read: the file is empty

@@ -1,7 +1,9 @@
 """Shares of independent work run at once, each share after the first in a
-forked child that pickles its result into a pipe: simulate's seeds, and the
-shares of eval's queries in each direction, where the CLI asks for them.
-pickle is loaded only as ``fork_map`` runs, not as the CLI is imported.
+forked child that pickles its result into a pipe: simulate's seeds, the
+shares of eval's queries in each direction, where the CLI asks for them, and
+the two temp files of filter and filter-one (the CSV in this process, the
+report in a child). pickle is loaded only as ``fork_map`` runs, not as the
+CLI is imported.
 
 A process that runs more than one thread must not fork: the child would copy
 locks that other threads hold. The CLI pins OpenBLAS to one thread unless the

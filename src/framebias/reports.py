@@ -130,8 +130,13 @@ def build_envelope(command: str, config: dict, payload: dict) -> dict:
     }
 
 
+def layout_report(envelope: dict, fh) -> None:
+    """Write the report to an open text file."""
+    _layout(envelope, fh.write)
+    fh.write("\n")
+
+
 def write_report(path, envelope: dict) -> None:
     """Write atomically: a report file either exists complete or not at all."""
     with open_atomic(path) as fh:
-        _layout(envelope, fh.write)
-        fh.write("\n")
+        layout_report(envelope, fh)

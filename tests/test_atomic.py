@@ -1,5 +1,6 @@
 """Every output goes through one atomic writer: whole file or nothing."""
 
+import errno
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from framebias import atomic
 from framebias.atomic import open_atomic
+from framebias.cli import main
 from framebias.matrices import SimilarityMatrix, save_matrix
 from framebias.reports import write_report
 
@@ -80,3 +82,55 @@ def test_output_mode_follows_umask(tmp_path):
         os.umask(old)
     assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o644
 
+
+
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_a_failed_create_names_the_target_alone(tmp_path, mode):
+    missing = tmp_path / "missing" / "out.csv"
+    with pytest.raises(FileNotFoundError) as caught:
+        with open_atomic(missing, mode):
+            pass
+    assert (caught.value.filename, caught.value.filename2) == (str(missing), None)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(IsADirectoryError) as caught:
+        with open_atomic(taken, mode):
+            pytest.fail("a directory at the target is refused before anything is written")
+    assert str(caught.value) == f"[Errno 21] Is a directory: '{taken}'"
+    assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
+
+
+def test_a_failed_rename_names_the_target_alone(tmp_path, monkeypatch):
+    def replace(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src, dst)
+
+    monkeypatch.setattr(atomic.os, "replace", replace)
+    with pytest.raises(PermissionError) as caught:
+        _write(tmp_path / "out.csv", "x")
+    assert str(caught.value) == f"[Errno 13] Permission denied: '{tmp_path / 'out.csv'}'"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_link_to_a_directory_is_replaced_as_a_rename_replaces_it(tmp_path):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "link").symlink_to("taken")
+    _write(tmp_path / "link", "x")
+    assert (tmp_path / "link").read_text() == "x" and not (tmp_path / "link").is_symlink()
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--annotations", "{ann}", "--out", "{dir}"],
+        ["filter", "--annotations", "{ann}", "--alpha", "5", "--out", "{tmp}/f.csv", "--report", "{dir}"],
+    ],
+    ids=["audit-out", "filter-report"],
+)
+def test_an_output_that_is_a_directory_is_named_in_one_line(tmp_path, data_dir, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    values = {"ann": str(data_dir / "tiny.csv"), "dir": str(taken), "tmp": str(tmp_path)}
+    assert main([arg.format(**values) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"framebias {argv[0]}: error: [Errno 21] Is a directory: '{taken}'\n")
+    assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []

@@ -106,3 +106,20 @@ except ModuleNotFoundError as err:
     result = run_python(["-c", code], tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "numpy"
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_pickle(tmp_path):
+    code = f"""
+import sys
+import framebias.cli
+print({NUMPY_SUBMODULES}, "pickle" in sys.modules)
+ann = ["--annotations", {str(DATA / "tiny.csv")!r}]
+assert framebias.cli.main(["audit", *ann, "--out", "a.json"]) == 0
+print("pickle" in sys.modules)
+assert framebias.cli.main(["filter", *ann, "--alpha", "5", "--out", "f.csv", "--report", "f.json"]) == 0
+print("pickle" in sys.modules)
+"""
+    result = run_python(["-c", code], tmp_path)
+    assert result.returncode == 0, result.stderr
+    # pickle loads as filter's writes are shared out by forking.fork_map, and only then
+    assert result.stdout.splitlines() == ["[] False", "False", "True"]
