@@ -10,8 +10,8 @@ if np is None:
     if _spec is None:
         raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
     # Before Python 3.12 the first load takes no lock, so a thread touching np
-    # while another loads it can see a half-built module. numpy is first used
-    # on the calling thread, before metrics._each_block starts any thread.
+    # while another loads it can see a half-built module; framebias starts no
+    # thread, so only a caller's threads can.
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     np = importlib.util.module_from_spec(_spec)
     sys.modules["numpy"] = np

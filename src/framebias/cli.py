@@ -26,7 +26,7 @@ from framebias.audit import (
     length_histogram,
 )
 from framebias.dataset import ActionClass, load_annotations, write_native_csv
-from framebias.errors import DegenerateInputError, FrameBiasError, NotFoundError
+from framebias.errors import REPORTED, DegenerateInputError, NotFoundError
 from framebias.filtering import FilterConfig, SumSource, filter_margin, filter_single_class
 from framebias.matrices import _named, open_matrix, save_matrix
 from framebias.metrics import inspect_query, metrics_report
@@ -115,7 +115,7 @@ def cmd_audit(args) -> int:
 
 def _write_filtered(args, filtered, envelope) -> None:
     """Write the filtered CSV to ``--out`` and the report to ``--report`` at
-    once, as two shares of one ``fork_map`` (in turn, where ``forking.plan``
+    once, as two items of one ``fork_map`` (in turn, where ``forking.plan``
     gives one process), each to a temp file beside its target. Once both are
     whole, the CSV replaces its target and then the report. If either fails,
     neither target is touched, and the CSV's error is raised before the
@@ -124,19 +124,11 @@ def _write_filtered(args, filtered, envelope) -> None:
     temps = [temp_beside(path) for path, _ in outputs]
 
     def write(i):
-        """The error that stops output ``i``, as a value, or None."""
-        try:
-            with open_temp(temps[i], outputs[i][0]) as fh:
-                outputs[i][1](fh)
-        except (FrameBiasError, ValueError, OSError) as error:
-            return error
-        return None
+        with open_temp(temps[i], outputs[i][0]) as fh:
+            outputs[i][1](fh)
 
-    shares = [[0], [1]] if forking.plan(len(outputs))[0] > 1 else [[0, 1]]
     try:
-        for error in sum(forking.fork_map(lambda share: list(map(write, share)), shares), []):
-            if error is not None:
-                raise error
+        forking.fork_map(write, range(len(outputs)), forking.plan(len(outputs)))
         for tmp, (path, _) in zip(temps, outputs):
             replace(tmp, path)
     finally:  # a temp file written but not renamed
@@ -228,7 +220,6 @@ def cmd_simulate(args) -> int:
     # each process's sweeps check their own arguments: all are checked before any process starts
     check_sweep(config, alphas, seeds, args.min_class_size, args.topk)
     out_dir = Path(args.out_dir)
-    processes, workers = forking.plan(len(seeds))
 
     @contextmanager
     def emit(seed, alpha, dataset, reference):
@@ -241,25 +232,11 @@ def cmd_simulate(args) -> int:
         with open_atomic(out_dir / f"annotations_{tag}.csv") as fh:
             write_native_csv(reference, fh)
 
-    def sweep(share):
-        """The rows of each seed of ``share`` in turn, up to the first seed that fails, and its error."""
-        groups = []
-        for seed in share:
-            try:
-                groups.append(bias_sweep(
-                    config, alphas, [seed], min_class_size=args.min_class_size, topk=args.topk,
-                    on_condition=emit, workers=workers,
-                ))
-            except (FrameBiasError, ValueError, OSError) as error:
-                return groups, error
-        return groups, None
+    def sweep(seed):
+        return bias_sweep(config, alphas, [seed], min_class_size=args.min_class_size, topk=args.topk, on_condition=emit)
 
-    # process i sweeps seeds[i::processes], so its seed j is seeds[i + processes * j]
-    results = forking.fork_map(sweep, [seeds[i::processes] for i in range(processes)])
-    errors = {i + processes * len(groups): error for i, (groups, error) in enumerate(results) if error is not None}
-    if errors:
-        raise errors[min(errors)]  # the first failing seed's, as one process gives
-    rows = [row for at in range(len(seeds)) for row in results[at % processes][0][at // processes]]
+    # the first failing seed in --seeds order is reported, as one process reports it
+    rows = [row for group in forking.fork_map(sweep, seeds, forking.plan(len(seeds))) for row in group]
     payload = {
         "sim_config": config,
         "alphas": alphas,
@@ -383,7 +360,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (FrameBiasError, ValueError, OSError) as err:
+    except REPORTED as err:
         print(f"framebias {args.command}: error: {err}", file=sys.stderr)
         return 1
     finally:

@@ -9,6 +9,9 @@ class FrameBiasError(Exception):
     """Base class for all toolkit errors."""
 
 
+REPORTED = (FrameBiasError, ValueError, OSError)  # what a command reports as exit 1; a fork_map process stops at one
+
+
 class AnnotationParseError(FrameBiasError):
     """Malformed annotation input (wrong columns, bad field types)."""
 

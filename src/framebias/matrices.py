@@ -14,12 +14,12 @@ Every matrix is read, written and scored as a *block source*: ``rows``,
 ``fill(start, stop, out)``. That returns rows ``start:stop`` (``start`` a
 multiple of ``rows``), written into the C-contiguous ``out`` or as a view
 where they are held so, and refuses a non-finite value. ``fill`` is called
-one block at a time, in ascending order of ``start``; a source that writes
-is filled block by block from the first, while a pass over any other may
-start at any block, as eval's shares of queries do. A
-``SimilarityMatrix``, an open SIMM file (``SimmReader``) and the simulator's
-per-condition generator provide it; the first two also give ``T``, their
-transpose as a source, which eval scores for v2t.
+one block at a time, in ascending order of ``start`` (``metrics._each_block``
+loops so); a source that writes is filled block by block from the first,
+while a pass over any other may start at any block, as eval's shares of
+queries do. A ``SimilarityMatrix``, an open SIMM file (``SimmReader``) and
+the simulator's per-condition generator provide it; the first two also give
+``T``, their transpose as a source, which eval scores for v2t.
 
 A text matrix is read row by row, from a pipe too, into an array that grows
 as rows arrive. A SIMM file is opened as a ``SimmReader`` on a seekable file:

@@ -11,32 +11,31 @@ relevance, relevance at the AP threshold, its GT column) land in its sorted
 row (``positions``), and a GT rank or a top k is a compare count or a partial
 partition (``gt_ranks``, ``top_k``). Each kernel resolves tie-free rows itself
 and hands a row with a tie it cannot order to ``ranking``.
-Blocks of queries are scored on a few threads; each writes only its own
-queries' results, so they do not depend on the thread count. Asked to fork
-(as the CLI's eval asks), ``metrics_report`` cuts each direction's queries
-into P contiguous shares at block bounds, where ``forking.plan`` allows
-P > 1 processes, at most ``_WORKERS``: process p scores share p of t2v and
-then of v2t on one thread, the calling process share 0 and forked children
-the rest, and the shares' per-query results are joined in query order, so
-they do not depend on the process count either.
+Blocks of queries are filled and scored in turn, each writing only its own
+queries' results. Asked to fork (as the CLI's eval asks), ``metrics_report``
+cuts each direction's queries into P contiguous shares at block bounds, P
+the processes ``forking.plan`` gives, at most ``_PROCESSES``, and maps them
+with ``forking.fork_map``: process p scores share p of t2v and then of v2t,
+the calling process share 0 and forked children the rest, and the shares'
+per-query results are joined in query order, so they do not depend on the
+process count.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from framebias._numpy import np
 from framebias.dataset import Dataset, frame_length
-from framebias.errors import DegenerateInputError, FrameBiasError, NotFoundError, ShapeMismatchError
-from framebias.forking import fork_map, plan, usable_cpus
+from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchError
+from framebias.forking import fork_map, plan
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 
 DIRECTIONS = ("t2v", "v2t", "avg")
 RECALL_KS = (1, 5, 10)  # cutoffs of each direction's recall
 _BLOCK_SCORES = 1 << 17  # scores ranked at once: a block's scratch arrays stay small
-_WORKERS = min(4, usable_cpus())  # threads (or processes) that score blocks at once: the usable CPUs, at most four
+_PROCESSES = 4  # processes that score eval's shares at once, at most; ``forking.plan`` caps them by the usable CPUs
 
 
 def _block_bounds(source, scores: int | None = None) -> list[tuple[int, int]]:
@@ -45,57 +44,24 @@ def _block_bounds(source, scores: int | None = None) -> list[tuple[int, int]]:
     return [(start, min(start + rows, source.shape[0])) for start in range(0, source.shape[0], rows)]
 
 
-def _each_block(source, score, block_scores: int | None = None, workers: int | None = None) -> None:
+def _each_block(source, score, block_scores: int | None = None) -> None:
     """Call ``score(start, stop, scores, scratch)`` on each block of a block
-    source's rows (see ``matrices``), on up to ``workers`` (at most
-    ``_WORKERS``) threads, this one included.
+    source's rows (see ``matrices``) in turn.
 
     A block holds about ``block_scores`` (``_BLOCK_SCORES``) scores, at least
-    one row. Blocks are taken and filled under one lock, one at a time and in
-    order, and scored outside it. Each thread fills its blocks into one buffer
-    that it reuses (a matrix in memory hands out views of its rows; for v2t,
-    ``matrix.T`` copies its columns, so no transposed matrix is made).
-    ``scratch`` is a second such buffer of the block's shape, free for the
-    callback to overwrite. Both are valid only during the call. After an error
-    no block is taken or filled, and the lowest failing block's error is
-    raised, as a serial loop raises it.
+    one row. Every block is filled into one buffer (a matrix in memory hands
+    out views of its rows; for v2t, ``matrix.T`` copies its columns, so no
+    transposed matrix is made). ``scratch`` is a second such buffer of the
+    block's shape, free for the callback to overwrite. Both are valid only
+    during the call. Both are allocated here once: fresh block-sized
+    temporaries can each cost a new mmap and its page faults.
     """
     bounds = _block_bounds(source, block_scores)
-    pending = iter(bounds)
-    lock = threading.Lock()
-    errors = {}
     rows = bounds[0][1] if bounds else 1
-    # one block and one scratch buffer per thread, allocated here, as numpy's
-    # first use must be on this thread: fresh block-sized temporaries can each
-    # cost a new mmap and its page faults
-    workers = max(1, min(_WORKERS, workers or _WORKERS, len(bounds)))
-    buffers = [np.empty((2, min(rows, source.shape[0]), source.shape[1])) for _ in range(workers)]
-
-    def work(block, scratch):
-        while True:
-            with lock:
-                if errors or (taken := next(pending, None)) is None:
-                    return
-                start, stop = taken
-                try:
-                    scores = fill(start, stop, block[: stop - start])
-                except BaseException as error:
-                    errors[start] = error
-                    return
-            try:
-                score(start, stop, scores, scratch[: stop - start])
-            except BaseException as error:
-                errors[start] = error
-
-    threads = [threading.Thread(target=work, args=tuple(buffer)) for buffer in buffers[1:]]
+    block, scratch = np.empty((2, min(rows, source.shape[0]), source.shape[1]))
     with source.blocks(rows) as fill:
-        for thread in threads:
-            thread.start()
-        work(*buffers[0])
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
+        for start, stop in bounds:
+            score(start, stop, fill(start, stop, block[: stop - start]), scratch[: stop - start])
 
 
 def positions(scores: np.ndarray, tracked: np.ndarray, out: np.ndarray | None = None):
@@ -204,16 +170,16 @@ def recall_at_k(ranks, k: int) -> float:
     return sum(1 for r in ranks if r <= k) / len(ranks)
 
 
-def _scan(source, relevance, threshold=1.0, depth=None, gt=None, workers=None):
+def _scan(source, relevance, threshold=1.0, depth=None, gt=None):
     """Per-query nDCG and AP and the index-tie, optimistic and pessimistic ranks
     of gallery indices ``gt``. nDCG is NaN where the ideal DCG is not positive
     (negative dense relevance can cancel it), AP where nothing reaches the
     threshold.
 
-    ``source`` is a block source of the scores, scored on up to ``workers``
-    threads. ``relevance`` is a dense array oriented like it, or the verb and
-    noun codes ``(qv, qn, gv, gn)`` of queries and gallery; the ideal DCG of
-    class relevance comes in closed form from its counts of 1.0 and 0.5.
+    ``source`` is a block source of the scores. ``relevance`` is a dense
+    array oriented like it, or the verb and noun codes ``(qv, qn, gv, gn)`` of
+    queries and gallery; the ideal DCG of class relevance comes in closed form
+    from its counts of 1.0 and 0.5.
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -254,7 +220,7 @@ def _scan(source, relevance, threshold=1.0, depth=None, gt=None, workers=None):
             at = np.flatnonzero(col == gt[start:stop][row])
             ranks[:, start:stop] = rank[at], left[at] + 1, right[at]
 
-    _each_block(source, score, None, workers)
+    _each_block(source, score)
     return ndcg, ap, ranks
 
 
@@ -280,47 +246,36 @@ def _shares(source, processes: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:] + [source.shape[0]]))
 
 
-def _scan_share(source, codes, gt, lo: int, hi: int, threshold, depth, workers=None):
+def _scan_share(source, codes, gt, lo: int, hi: int, threshold, depth):
     """``_scan`` of the queries ``lo:hi`` (a share from ``_shares``) of a
     direction given whole: its block source, the class codes ``(qv, qn, gv,
     gn)`` of its queries and gallery, and each query's GT column, -1 where it
     has none."""
     qv, qn, gv, gn = codes
     share = _Share(source, lo, hi)
-    return _scan(share, (qv[lo:hi], qn[lo:hi], gv, gn), threshold, depth, np.maximum(gt[lo:hi], 0), workers)
+    return _scan(share, (qv[lo:hi], qn[lo:hi], gv, gn), threshold, depth, np.maximum(gt[lo:hi], 0))
 
 
 def _scan_directions(directions, threshold, depth, fork: bool) -> list:
     """The ``_scan`` of each direction ``(source, codes, gt)`` (see
     ``_scan_share``) in shares of its queries: one share, or with ``fork``
-    one per process that ``forking.plan`` gives, at most ``_WORKERS``, each
-    on one thread, so that no more blocks are scored at once than one process
-    scores.
+    one per process that ``forking.plan`` gives, at most ``_PROCESSES``.
 
-    Process p scans share p of each direction in turn, up to the first that
-    fails. The error of the first failing (direction, share) in that order is
-    raised, which is the one a single pass raises.
+    Item ``(d, p)`` of the ``fork_map`` is share p of direction d, so process
+    p scans share p of each direction in turn, and the error raised is that
+    of the first failing (direction, share), the one a single pass raises.
     """
     blocks = min(len(_block_bounds(source)) for source, _, _ in directions)
-    processes = plan(min(blocks, _WORKERS))[0] if fork else 1
-    workers = None if processes == 1 else 1
+    processes = plan(min(blocks, _PROCESSES)) if fork else 1
     cuts = [_shares(source, processes) for source, _, _ in directions]
 
-    def scan(p):
-        scans = []
-        for (source, codes, gt), shares in zip(directions, cuts):
-            try:
-                scans.append(_scan_share(source, codes, gt, *shares[p], threshold, depth, workers))
-            except (FrameBiasError, ValueError, OSError) as error:
-                return scans, error
-        return scans, None
+    def scan(item):
+        d, p = item
+        return _scan_share(*directions[d], *cuts[d][p], threshold, depth)
 
-    results = fork_map(scan, list(range(processes)))
-    failed = [(len(scans), p) for p, (scans, error) in enumerate(results) if error is not None]
-    if failed:
-        raise results[min(failed)[1]][1]
+    scans = fork_map(scan, [(d, p) for d in range(len(directions)) for p in range(processes)], processes)
     return [
-        tuple(np.concatenate(parts, axis=-1) for parts in zip(*(scans[d] for scans, _ in results)))
+        tuple(np.concatenate(parts, axis=-1) for parts in zip(*scans[d * processes : (d + 1) * processes]))
         for d in range(len(directions))
     ]
 

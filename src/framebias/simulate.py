@@ -15,7 +15,8 @@ a lookup in a 4-entry table by (class match, bucket match), and each
 caption's noise is added as two rows of the transposed noise matrix. Nor is a
 sweep's matrix: each condition is a block source (``_Synthesis``) whose row
 blocks are built, written and scored in one pass, and a seed's conditions
-build their shared test-side inputs and the noise once.
+build their shared test-side inputs and the noise once. A sweep runs in the
+calling process; the CLI maps its seeds over forked processes (``forking``).
 
 The noise stream is a fixed function of the seed and matrix shape, not of
 the train reference, so regenerating similarities after filtering changes
@@ -316,9 +317,9 @@ class SweepRow:
     mean_topk_len: float
 
 
-def _condition_metrics(source, gt: np.ndarray, lengths: np.ndarray, topk: int, workers: int | None = None):
+def _condition_metrics(source, gt: np.ndarray, lengths: np.ndarray, topk: int):
     """Mean GT rank, recall@10 and mean top-k gallery length over the queries
-    of a block source, scored block by block on up to ``workers`` threads.
+    of a block source, scored block by block.
 
     ``gt`` holds each query's ground-truth column (the gallery clip with its
     own id) and ``lengths`` each gallery clip's length, so a top-k length is
@@ -333,7 +334,7 @@ def _condition_metrics(source, gt: np.ndarray, lengths: np.ndarray, topk: int, w
 
     # half eval's blocks: building a block and partitioning its top k each
     # hold a block-sized temporary beside it, and smaller blocks sweep no slower
-    _each_block(source, score, metrics._BLOCK_SCORES // 2, workers)
+    _each_block(source, score, metrics._BLOCK_SCORES // 2)
     ranks, topk_means = ranks.tolist(), (topk_sums / k).tolist()
     return sum(ranks) / len(ranks), recall_at_k(ranks, 10), sum(topk_means) / len(topk_means)
 
@@ -350,7 +351,7 @@ def check_sweep(config: SimConfig, alphas: list, seeds: list, min_class_size: in
 
 
 def bias_sweep(
-    config: SimConfig, alphas, seeds, min_class_size: int = 11, topk: int = 20, on_condition=None, workers=None
+    config: SimConfig, alphas, seeds, min_class_size: int = 11, topk: int = 20, on_condition=None
 ) -> list[SweepRow]:
     """Mechanism sweep: unfiltered baseline vs margin filter at each alpha.
 
@@ -363,8 +364,7 @@ def bias_sweep(
     (alpha None = baseline) for a context manager that is entered while the
     cell is scored. It gives None or a seekable binary file, to which the
     cell's matrix is written as SIMM block by block (see ``SimmWriter``); an
-    error in the cell leaves the manager by it. ``workers`` caps the threads
-    that score a cell (default: ``metrics._WORKERS``).
+    error in the cell leaves the manager by it.
     """
     alphas = list(alphas)
     configs, filters = check_sweep(config, alphas, list(seeds), min_class_size, topk)
@@ -380,7 +380,7 @@ def bias_sweep(
             source, _ = _synthesis(shared, reference)
             cell = nullcontext() if on_condition is None else on_condition(cfg.seed, alpha, dataset, reference)
             with cell as fh:
-                return _condition_metrics(source if fh is None else SimmWriter(source, fh), gt, lengths, topk, workers)
+                return _condition_metrics(source if fh is None else SimmWriter(source, fh), gt, lengths, topk)
 
         rows.append(SweepRow(cfg.seed, None, 0, 0, *condition(None, dataset)))
         for alpha, filter_config in zip(alphas, filters):

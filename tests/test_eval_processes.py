@@ -16,10 +16,10 @@ import pytest
 
 from framebias import matrices, metrics
 from framebias.dataset import write_native_csv
+from framebias.forking import usable_cpus
 from framebias.matrices import load_matrix, open_matrix, save_matrix
-from framebias.metrics import usable_cpus
 
-from test_block_threads import DEPTHS, THRESHOLDS
+from test_block_loop import DEPTHS, THRESHOLDS
 from test_rank_kernel import random_eval
 from test_sweep_processes import COUNT_FORKS, run_sweep
 

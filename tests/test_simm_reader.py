@@ -6,7 +6,6 @@ import io
 import json
 import os
 import re
-import sys
 import threading
 from contextlib import contextmanager, nullcontext, redirect_stderr
 from unittest import mock
@@ -21,7 +20,7 @@ from framebias.dataset import ClipRecord, Dataset, write_native_csv
 from framebias.errors import AnnotationParseError, FrameBiasError
 from framebias.matrices import SimilarityMatrix, load_matrix, open_matrix, save_matrix, to_binary
 
-from test_block_threads import outcome
+from test_block_loop import outcome
 from test_matrix_memory import traced_peak
 from test_rank_kernel import random_eval
 from test_simm_decode import simm_files
@@ -148,37 +147,22 @@ def test_every_command_refuses_an_empty_matrix_by_its_path(tmp_path, capsys, com
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.csv", name]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_a_file_that_shrinks_after_it_is_opened(tmp_path, monkeypatch, workers):
-    monkeypatch.setattr(metrics, "_WORKERS", workers)
+def test_a_file_that_shrinks_after_it_is_opened(tmp_path, monkeypatch):
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 30)  # v2t blocks of one file column
     monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * 30 * 2)  # in ten groups of two
     sim, dataset = random_eval(np.random.default_rng(0), 30, 20, 3)
     path = tmp_path / "m.simm"
     save_matrix(sim, path)
-    errors = []
-
-    def report(values):
-        try:
-            metrics._each_block(values, lambda *block: None)
-        except AnnotationParseError as error:
-            errors.append(str(error))
-
     with open_matrix(path) as reader:
         os.truncate(path, 13 + 8 * 20 * 25)  # the last five rows are gone
         with pytest.raises(AnnotationParseError, match=f"^{path}: SIMM values ended early"):
             metrics.metrics_report(reader, dataset)
-        # every group read fails: no thread may wait for a group that is never read
-        runner = threading.Thread(target=report, args=(reader.T,))
-        runner.start()
-        runner.join(timeout=60)
-    assert not runner.is_alive()
-    assert len(errors) == 1 and errors[0].startswith(f"{path}: SIMM values ended early")
+        # and so does a pass over its transpose
+        with pytest.raises(AnnotationParseError, match=f"^{path}: SIMM values ended early"):
+            metrics._each_block(reader.T, lambda *block: None)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_every_transposed_block_is_read_once_under_frequent_switches(tmp_path, monkeypatch, workers):
-    monkeypatch.setattr(metrics, "_WORKERS", workers)
+def test_every_transposed_block_is_read_once(tmp_path, monkeypatch):
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 40)  # v2t blocks of one file column
     monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * 40 * 3)  # in groups of three
     nrows, ncols = 40, 90
@@ -197,50 +181,32 @@ def test_every_transposed_block_is_read_once_under_frequent_switches(tmp_path, m
     def score(start, stop, scores, scratch):
         scored.append((start, stop, scores.tolist()))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with open_matrix(tmp_path / "m.simm") as reader:
-            runner = threading.Thread(target=metrics._each_block, args=(reader.T, score))
-            runner.start()
-            runner.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive()
+    with open_matrix(tmp_path / "m.simm") as reader:
+        metrics._each_block(reader.T, score)
     # a group buffer reused before all its blocks were copied out shows here
-    assert sorted(scored) == [(j, j + 1, [values[:, j].tolist()]) for j in range(ncols)]
-    assert sorted(reads) == list(range(0, ncols, 3))  # each group is read once
+    assert scored == [(j, j + 1, [values[:, j].tolist()]) for j in range(ncols)]
+    assert reads == list(range(0, ncols, 3))  # each group is read once
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_only_the_scoring_threads_run_while_a_file_is_scored(tmp_path, monkeypatch, workers):
-    monkeypatch.setattr(metrics, "_WORKERS", workers)
+def test_no_thread_starts_while_a_file_is_scored(tmp_path, monkeypatch):
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 60)  # v2t blocks of two file columns
     monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * 30 * 4)  # in groups of four columns
     sim, dataset = random_eval(np.random.default_rng(0), 30, 20, 3)
     save_matrix(sim, tmp_path / "m.simm")
-    counts = []
-    each_block = metrics._each_block
-
-    def counting(source, score, *args):
-        def counted(*block):
-            counts.append(threading.active_count())
-            return score(*block)
-
-        return each_block(source, counted, *args)
-
-    monkeypatch.setattr(metrics, "_each_block", counting)
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread) or start(thread))
     baseline = threading.active_count()
     with open_matrix(tmp_path / "m.simm") as reader:
         streamed = metrics.metrics_report(reader, dataset)
+        assert threading.active_count() == baseline
     assert streamed == metrics.metrics_report(sim, dataset)
-    assert counts and max(counts) <= baseline + workers - 1
+    assert starts == []
 
 
 @pytest.mark.parametrize("shape", [(1, 37), (37, 1), (23, 37)])
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("threshold, depth", [(1.0, None), (0.5, 3)])
-def test_report_over_the_reader_is_bit_identical(tmp_path, monkeypatch, shape, workers, threshold, depth):
+def test_report_over_the_reader_is_bit_identical(tmp_path, monkeypatch, shape, threshold, depth):
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 64)  # v2t blocks of two file columns at 23 rows
     monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * 23 * 2 * 3)  # and groups of three blocks
     sim, dataset = random_eval(np.random.default_rng(sum(shape)), *shape, 3)
@@ -254,8 +220,8 @@ def test_report_over_the_reader_is_bit_identical(tmp_path, monkeypatch, shape, w
 
     monkeypatch.setattr(matrices.SimmReader, "_read_columns", counted)
     with open_matrix(tmp_path / "m.simm") as reader:
-        in_memory = outcome(monkeypatch, workers, metrics.metrics_report, sim, dataset, threshold=threshold, depth=depth)
-        streamed = outcome(monkeypatch, workers, metrics.metrics_report, reader, dataset, threshold=threshold, depth=depth)
+        in_memory = outcome(monkeypatch, metrics.metrics_report, sim, dataset, threshold=threshold, depth=depth)
+        streamed = outcome(monkeypatch, metrics.metrics_report, reader, dataset, threshold=threshold, depth=depth)
     assert streamed == in_memory
     if shape == (23, 37):  # six groups of six columns and a last one of one, each read once
         assert reads == [(start, 6) for start in range(0, 36, 6)] + [(36, 1)]
@@ -280,8 +246,7 @@ def test_report_over_the_reader_holds_little_of_the_matrix(tmp_path):
     assert peak <= 0.5 * 8 * n * n
 
 
-def test_the_v2t_pass_holds_one_column_group(tmp_path, monkeypatch):
-    monkeypatch.setattr(metrics, "_WORKERS", 2)
+def test_the_v2t_pass_holds_one_column_group(tmp_path):
     n = 2000
     ids = tuple(f"c{i:05d}" for i in range(n))
     values = np.random.default_rng(0).normal(size=(n, n))
@@ -292,15 +257,13 @@ def test_the_v2t_pass_holds_one_column_group(tmp_path, monkeypatch):
     with open_matrix(tmp_path / "m.simm") as reader:
         assert n > 2 * group // (8 * n)  # more than two groups: two buffers would both be filled
         peak, _ = traced_peak(metrics._each_block, reader.T, lambda *block: None)
-    # one group, and each thread's block and scratch buffers, with 1 MB for the rest
-    assert peak <= group + 2 * 2 * 8 * rows * n + (1 << 20)
+    # one group, and the block and scratch buffers, with 1 MB for the rest
+    assert peak <= group + 2 * 8 * rows * n + (1 << 20)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("nrows", [1, 3, 5, 14])  # 1, tile - 1, tile + 1, 3 tiles + 2
-def test_transposed_blocks_are_copied_exactly_across_tiles(tmp_path, monkeypatch, workers, nrows):
+def test_transposed_blocks_are_copied_exactly_across_tiles(tmp_path, monkeypatch, nrows):
     monkeypatch.setattr(matrices, "_TILE_ROWS", 4)
-    monkeypatch.setattr(metrics, "_WORKERS", workers)
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 2 * nrows)  # v2t blocks of two file columns
     monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * nrows * 4)  # in groups of two blocks
     ncols = 11

@@ -19,8 +19,8 @@ import pytest
 from framebias import forking
 from framebias.dataset import load_annotations
 from framebias.filtering import FilterConfig, filter_margin
+from framebias.forking import usable_cpus
 from framebias.matrices import load_matrix, save_matrix
-from framebias.metrics import usable_cpus
 from framebias.reports import build_envelope, write_report
 from framebias.simulate import SimConfig, bias_sweep, synth_dataset, synth_similarity
 
@@ -178,7 +178,7 @@ def test_a_process_running_threads_plans_one_process():
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert forking.plan(8) == (1, None)
+        assert forking.plan(8) == 1
     finally:
         stop.set()
         thread.join()
@@ -196,10 +196,10 @@ def work(share):
     return share * 2
 
 try:
-    forking.fork_map(work, ["ok", "die", "fine"])
+    forking.fork_map(work, ["ok", "die", "fine"], 3)
 except ChildProcessError as error:
     print(error)
-print(forking.fork_map(work, ["a", "b", "c"]))
+print(forking.fork_map(work, ["a", "b", "c"], 3))
 """
     code, out, err = run_sweep(script, [], tmp_path)
     assert (code, err) == (0, "")

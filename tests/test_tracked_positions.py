@@ -263,10 +263,8 @@ def test_condition_metrics_on_tie_heavy_matrices(seed, n, topk, subset):
     assert got == naive_condition(values.tolist(), lengths, topk, rows)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("topk", [2, 3, 6, 9])
-def test_condition_metrics_with_gt_and_cut_ties_in_one_block(monkeypatch, workers, topk):
-    monkeypatch.setattr(metrics, "_WORKERS", workers)
+def test_condition_metrics_with_gt_and_cut_ties_in_one_block(monkeypatch, topk):
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 12)  # two rows per block
     # rows 0-1: every score ties, so the GT has lower-index ties and so does the
     # k-th score; rows 2-3: a GT tie and a cut tie at different scores; rows 4-5
@@ -288,18 +286,16 @@ def test_condition_metrics_with_gt_and_cut_ties_in_one_block(monkeypatch, worker
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 30),
     extra=st.integers(-29, 5),
-    workers=st.sampled_from([1, 2]),
     block_scores=st.sampled_from([1, 7, 40]),
 )
 @settings(max_examples=150, deadline=None)
-def test_condition_metrics_on_small_blocks_and_threads(seed, n, extra, workers, block_scores):
+def test_condition_metrics_on_small_blocks(seed, n, extra, block_scores):
     rng = np.random.default_rng(seed)
     values = rng.choice([0.0, 0.5, 1.0], size=(n, n))
     lengths = rng.integers(1, 200, size=n).tolist()
     topk = max(1, n + extra)  # from 1 up to past n
     sim, _ = condition_case(values, lengths)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metrics, "_WORKERS", workers)
         patch.setattr(metrics, "_BLOCK_SCORES", block_scores)
         got = condition_metrics(sim, lengths, topk)
     assert got == naive_condition(values.tolist(), lengths, topk, range(n))
