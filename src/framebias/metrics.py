@@ -209,7 +209,9 @@ def _scan(source, relevance, threshold=1.0, depth=None, gt=None):
             positive = np.bincount(row[gains > 0], minlength=nb)
             ideal = 0.5 * (gain[np.bincount(row[gains == 1.0], minlength=nb)] + gain[positive])
         else:
-            ideal = (np.sort(rel, axis=1)[:, ::-1][:, :depth] * disc[1 : depth + 1]).sum(axis=1)
+            ranked = rel.copy(order="C")  # a row's sum is then the same in a block of any shape
+            ranked.sort(axis=1)
+            ideal = (ranked[:, ::-1][:, :depth] * disc[1 : depth + 1]).sum(axis=1)
         dcg = np.bincount(row, gains * disc[rank], minlength=nb)
         np.divide(dcg, ideal, out=ndcg[start:stop], where=ideal > 0)
         hit = np.flatnonzero(gains >= threshold)  # in rank order within each row

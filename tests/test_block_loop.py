@@ -1,5 +1,9 @@
 """``metrics._each_block`` fills and scores a block source's blocks in turn:
-in order, into one reused buffer, and no block after one that fails.
+in order, into one reused buffer, and no block after one that fails. Each
+block writes only its own queries' results and the means are summed afterwards
+in query order, so no output may depend on the block size: the invariance
+tests score every matrix in one-row blocks, in blocks of a few rows and in one
+block.
 
 ``DEPTHS`` and ``THRESHOLDS`` are the options the share tests of
 ``test_eval_processes`` sweep, and ``outcome`` records what ``_scan`` gives
@@ -14,12 +18,14 @@ import pytest
 from framebias import metrics
 from framebias.errors import DegenerateInputError
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
-from framebias.simulate import SimConfig, synth_dataset, synth_similarity
+from framebias.simulate import SimConfig, bias_sweep, synth_dataset, synth_similarity
 
 from test_matrix_memory import traced_peak
+from test_rank_kernel import random_eval, tie_heavy
 
 THRESHOLDS = (-1.0, 0.0, 0.5, 1.0)
 DEPTHS = (None, 1, 3)
+BLOCK_SCORES = (1, 256, metrics._BLOCK_SCORES)  # one row per block, a few rows, every row in one block
 
 
 def outcome(monkeypatch, fn, *args, **options):
@@ -41,14 +47,69 @@ def outcome(monkeypatch, fn, *args, **options):
             return str(error), arrays
 
 
+def assert_same_for_every_block_size(monkeypatch, fn, *args, **options):
+    outcomes = []
+    for block_scores in BLOCK_SCORES:
+        monkeypatch.setattr(metrics, "_BLOCK_SCORES", block_scores)
+        outcomes.append(outcome(monkeypatch, fn, *args, **options))
+    assert outcomes[0][1], "_scan was not called"
+    assert outcomes[1:] == [outcomes[0]] * (len(BLOCK_SCORES) - 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_report_does_not_depend_on_block_size(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    nq, ng = (int(n) for n in rng.integers(20, 120, size=2))
+    sim, dataset = random_eval(rng, nq, ng, int(rng.integers(1, 6)))
+    for threshold in THRESHOLDS:
+        for depth in DEPTHS:
+            assert_same_for_every_block_size(
+                monkeypatch, metrics.metrics_report, sim, dataset, threshold=threshold, depth=depth
+            )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_averages_do_not_depend_on_block_size(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    nq, ng = (int(n) for n in rng.integers(20, 120, size=2))
+    rows, cols = tuple(f"q{i}" for i in range(nq)), tuple(f"g{j}" for j in range(ng))
+    sim = SimilarityMatrix(rows=rows, cols=cols, values=tie_heavy(rng, (nq, ng)))
+    rel = RelevancyMatrix(rows=rows, cols=cols, values=rng.choice([0.0, 0.0, 0.25, 0.5, 1.0], size=(nq, ng)))
+    for direction in metrics.DIRECTIONS:
+        for threshold in THRESHOLDS:
+            assert_same_for_every_block_size(monkeypatch, metrics.map_average, sim, rel, threshold, direction)
+        for depth in DEPTHS:
+            assert_same_for_every_block_size(monkeypatch, metrics.ndcg_average, sim, rel, direction, depth)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_sweep_does_not_depend_on_block_size(monkeypatch, noise):
+    config = SimConfig(num_classes=12, train_per_class=12, test_per_class=4, class_len_spread=300.0, noise_stddev=noise)
+    sweeps = []
+    for block_scores in BLOCK_SCORES:  # 48-wide rows: one, five, every row per block
+        monkeypatch.setattr(metrics, "_BLOCK_SCORES", block_scores)
+        sweeps.append(bias_sweep(config, [0.0, 20.0], range(3), min_class_size=4, topk=5))
+    assert sweeps[1:] == [sweeps[0]] * (len(BLOCK_SCORES) - 1)
+
+
+@pytest.mark.parametrize("block_scores", [1000, metrics._BLOCK_SCORES])
+def test_report_with_a_short_last_block_is_that_of_one_row_blocks(monkeypatch, block_scores):
+    rng = np.random.default_rng(7)
+    sim, dataset = random_eval(rng, 301, 290, 4)  # the last block of each direction is short
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 1)
+    one_row = outcome(monkeypatch, metrics.metrics_report, sim, dataset)
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", block_scores)
+    assert outcome(monkeypatch, metrics.metrics_report, sim, dataset) == one_row
+
+
 class BlockFailure(Exception):
     pass
 
 
 class Recording:
-    """A block source of one-row blocks whose ``fill`` records each block it
-    starts, and whether another fill was still running then, and raises
-    BlockFailure at block ``fail_at``."""
+    """A block source whose ``fill`` records each block it starts, and
+    whether another fill was still running then, and raises BlockFailure at
+    the block that holds row ``fail_at``."""
 
     def __init__(self, nrows, fail_at=None):
         self.rows, self.cols, self.shape = tuple(map(str, range(nrows))), ("a", "b"), (nrows, 2)
@@ -60,7 +121,7 @@ class Recording:
             self.started.append((start, bool(self.running)))
             self.running.add(start)
             try:
-                if start == self.fail_at:
+                if self.fail_at is not None and start <= self.fail_at < stop:
                     raise BlockFailure(start)
                 out[...] = start
                 return out
@@ -70,17 +131,19 @@ class Recording:
         yield fill
 
 
+@pytest.mark.parametrize("rows", [1, 2, 7, 60])  # rows per block; 60 puts every row in one block
 @pytest.mark.parametrize("fail_at", [None, 0, 17])
-def test_blocks_are_filled_one_at_a_time_in_order(monkeypatch, fail_at):
-    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 2)  # one row per block
+def test_blocks_are_filled_one_at_a_time_in_order(monkeypatch, rows, fail_at):
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 2 * rows)  # two columns
     source, scored = Recording(60, fail_at), []
     with pytest.raises(BlockFailure) if fail_at is not None else nullcontext():
         metrics._each_block(source, lambda start, stop, scores, scratch: scored.append(scores[0, 0]))
     # no fill overlaps another, they come in block order, and none follows a
     # failing one; every block filled before it is scored
-    filled = 60 if fail_at is None else fail_at + 1
-    assert source.started == [(start, False) for start in range(filled)]
-    assert scored == list(map(float, range(60 if fail_at is None else fail_at)))
+    starts = list(range(0, 60, rows))
+    filled = starts if fail_at is None else starts[: fail_at // rows + 1]
+    assert source.started == [(start, False) for start in filled]
+    assert scored == list(map(float, filled if fail_at is None else filled[:-1]))
 
 
 def test_error_in_a_block_reaches_the_caller(monkeypatch):

@@ -205,10 +205,11 @@ def test_no_thread_starts_while_a_file_is_scored(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(1, 37), (37, 1), (23, 37)])
+@pytest.mark.parametrize("block_scores", [23, 64])  # v2t blocks of one or two file columns at 23 rows
 @pytest.mark.parametrize("threshold, depth", [(1.0, None), (0.5, 3)])
-def test_report_over_the_reader_is_bit_identical(tmp_path, monkeypatch, shape, threshold, depth):
-    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 64)  # v2t blocks of two file columns at 23 rows
-    monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * 23 * 2 * 3)  # and groups of three blocks
+def test_report_over_the_reader_is_bit_identical(tmp_path, monkeypatch, shape, block_scores, threshold, depth):
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", block_scores)
+    monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * 23 * 6)  # and groups of six file columns
     sim, dataset = random_eval(np.random.default_rng(sum(shape)), *shape, 3)
     save_matrix(sim, tmp_path / "m.simm")
     reads = []
@@ -261,11 +262,12 @@ def test_the_v2t_pass_holds_one_column_group(tmp_path):
     assert peak <= group + 2 * 8 * rows * n + (1 << 20)
 
 
+@pytest.mark.parametrize("group_blocks", [1, 2, 3])  # 3: the last group of the 11 columns is short
 @pytest.mark.parametrize("nrows", [1, 3, 5, 14])  # 1, tile - 1, tile + 1, 3 tiles + 2
-def test_transposed_blocks_are_copied_exactly_across_tiles(tmp_path, monkeypatch, nrows):
+def test_transposed_blocks_are_copied_exactly_across_tiles(tmp_path, monkeypatch, group_blocks, nrows):
     monkeypatch.setattr(matrices, "_TILE_ROWS", 4)
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 2 * nrows)  # v2t blocks of two file columns
-    monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * nrows * 4)  # in groups of two blocks
+    monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * nrows * 2 * group_blocks)  # in groups of group_blocks blocks
     ncols = 11
     values = np.random.default_rng(nrows).normal(size=(nrows, ncols))
     ids = tuple(f"c{i}" for i in range(max(nrows, ncols)))

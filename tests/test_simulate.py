@@ -434,8 +434,9 @@ class TestSweep:
                    on_condition=lambda seed, alpha, ds, ref: calls.append((seed, alpha)) or nullcontext())
         assert calls == [(0, None), (0, 5.0), (1, None), (1, 5.0)]
 
-    def test_each_written_matrix_is_the_collected_one(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_BLOCK_SCORES", 256)  # ten blocks of a 48-wide matrix
+    @pytest.mark.parametrize("block_scores", [256, metrics._BLOCK_SCORES])  # ten blocks or one of a 48-wide matrix
+    def test_each_written_matrix_is_the_collected_one(self, monkeypatch, block_scores):
+        monkeypatch.setattr(metrics, "_BLOCK_SCORES", block_scores)
         cfg = SimConfig(num_classes=12, train_per_class=12, test_per_class=4, class_len_spread=300.0)
         written = {}
 

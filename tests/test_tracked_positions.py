@@ -263,9 +263,10 @@ def test_condition_metrics_on_tie_heavy_matrices(seed, n, topk, subset):
     assert got == naive_condition(values.tolist(), lengths, topk, rows)
 
 
+@pytest.mark.parametrize("block_scores", [12, 36])  # two rows per block, every row in one block
 @pytest.mark.parametrize("topk", [2, 3, 6, 9])
-def test_condition_metrics_with_gt_and_cut_ties_in_one_block(monkeypatch, topk):
-    monkeypatch.setattr(metrics, "_BLOCK_SCORES", 12)  # two rows per block
+def test_condition_metrics_with_gt_and_cut_ties_in_one_block(monkeypatch, block_scores, topk):
+    monkeypatch.setattr(metrics, "_BLOCK_SCORES", block_scores)
     # rows 0-1: every score ties, so the GT has lower-index ties and so does the
     # k-th score; rows 2-3: a GT tie and a cut tie at different scores; rows 4-5
     # have no tie at the GT, and row 5 none at the cut
