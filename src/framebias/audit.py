@@ -10,7 +10,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from framebias.dataset import ActionClass, Dataset, frame_length
+from framebias.dataset import ActionClass, Dataset, frame_length, length_sum
 from framebias.errors import DegenerateInputError, NotFoundError
 
 # every bin up to the longest clip is materialised (about 100 B each)
@@ -61,7 +61,7 @@ def class_stats(dataset: Dataset) -> list[ClassStats]:
     rows = []
     for ac, by_split in dataset.index.items():
         train, test = by_split["train"], by_split["test"]
-        train_sum, test_sum = sum(map(frame_length, train)), sum(map(frame_length, test))
+        train_sum, test_sum = length_sum(train), length_sum(test)
         rows.append(stats_from_sums(ac, len(train), train_sum, len(test), test_sum))
     return rows
 
@@ -72,8 +72,7 @@ def global_length_summary(dataset: Dataset) -> tuple[float, float, int, int]:
     test = dataset.split_clips("test")
     if not train or not test:
         raise DegenerateInputError("global length summary requires non-empty train and test splits")
-    train_sum = sum(map(frame_length, train))
-    test_sum = sum(map(frame_length, test))
+    train_sum, test_sum = length_sum(train), length_sum(test)
     return (train_sum / len(train), test_sum / len(test), len(train), len(test))
 
 

@@ -47,6 +47,7 @@ SPLITS = ("train", "test")
 _NATIVE_FIELDS = tuple(name for name in NATIVE_COLUMNS if name != "split")
 _SPLIT_AT = NATIVE_COLUMNS.index("split")
 _INT_FIELDS = ("start_frame", "stop_frame", "verb_class", "noun_class")
+_START, _STOP = (itemgetter(NATIVE_COLUMNS.index(name)) for name in ("start_frame", "stop_frame"))
 
 
 @dataclass(frozen=True, order=True)
@@ -99,6 +100,11 @@ class ClipRecord(_ClipFields):
 def frame_length(clip: ClipRecord) -> int:
     """Number of frames in the clip's span, inclusive of both endpoints."""
     return clip.stop_frame - clip.start_frame + 1
+
+
+def length_sum(clips) -> int:
+    """``sum(map(frame_length, clips))`` of a sequence of clips, as two field sums."""
+    return sum(map(_STOP, clips)) - sum(map(_START, clips)) + len(clips)
 
 
 def class_of(clip: ClipRecord) -> ActionClass:

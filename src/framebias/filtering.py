@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 from framebias._numpy import np
 from framebias.audit import ClassStats, stats_from_sums
-from framebias.dataset import ActionClass, ClipRecord, Dataset, frame_length
+from framebias.dataset import ActionClass, ClipRecord, Dataset, frame_length, length_sum
 from framebias.errors import NotFoundError, ShapeMismatchError
 from framebias.matrices import SimilarityMatrix
 
@@ -125,7 +124,7 @@ def filter_margin(dataset: Dataset, config: FilterConfig) -> tuple[Dataset, Filt
     outcomes: list[ClassFilterOutcome] = []
     for ac, by_split in dataset.index.items():
         train, test = by_split["train"], by_split["test"]
-        train_sum, test_sum = sum(map(frame_length, train)), sum(map(frame_length, test))
+        train_sum, test_sum = length_sum(train), length_sum(test)
         before = stats_from_sums(ac, len(train), train_sum, len(test), test_sum)
         if not train:
             outcomes.append(ClassFilterOutcome(ac, SKIPPED_NO_TRAIN, before, before))
@@ -159,10 +158,9 @@ def filter_single_class(
     sign = -1 if mode == "remove_long" else 1
     order = sorted(train, key=lambda c: (sign * frame_length(c), c.clip_id))
     removed = [c.clip_id for c in order[:count]]
-    train_sum = sum(frame_length(c) for c in train)
-    test_sum = sum(frame_length(c) for c in test)
+    train_sum, test_sum = length_sum(train), length_sum(test)
     before = stats_from_sums(action_class, len(train), train_sum, len(test), test_sum)
-    kept_sum = train_sum - sum(frame_length(c) for c in order[:count])
+    kept_sum = train_sum - length_sum(order[:count])
     after = stats_from_sums(action_class, len(train) - count, kept_sum, len(test), test_sum)
     outcome = ClassFilterOutcome(action_class, FRACTION_REMOVED, before, after)
     return _finalize(dataset, removed, [outcome])
@@ -235,20 +233,18 @@ class SumSource:
             _check_same_ids((first.rows, first.cols), (s.rows, s.cols), (names[0], name))
         self.rows, self.cols, self.shape = first.rows, first.cols, first.shape
 
-    @contextmanager
     def blocks(self, rows: int):
-        with ExitStack() as stack:
-            first, *rest = (stack.enter_context(s.blocks(rows)) for s in self.sources)
+        first, *rest = (s.blocks(rows) for s in self.sources)
 
-            def fill(start, stop, out):
-                block = first(start, stop, out)
-                if block is not out:  # a matrix's rows come as a view
-                    np.copyto(out, block)
-                term = np.empty_like(out)
-                for other in rest:
-                    out += other(start, stop, term)
-                if self.mean:
-                    out /= len(self.sources)
-                return out
+        def fill(start, stop, out):
+            block = first(start, stop, out)
+            if block is not out:  # a matrix's rows come as a view
+                np.copyto(out, block)
+            term = np.empty_like(out)
+            for other in rest:
+                out += other(start, stop, term)
+            if self.mean:
+                out /= len(self.sources)
+            return out
 
-            yield fill
+        return fill

@@ -10,12 +10,12 @@ Two interchangeable serializations:
   prefixed ids).
 
 Every matrix is read, written and scored as a *block source*: ``rows``,
-``cols``, ``shape`` and ``blocks(rows)``, a context manager giving
-``fill(start, stop, out)``. That returns rows ``start:stop`` (``start`` a
-multiple of ``rows``), written into the C-contiguous ``out`` or as a view
-where they are held so, and refuses a non-finite value. ``fill`` is called
-one block at a time, in ascending order of ``start`` (``metrics._each_block``
-loops so); a source that writes is filled block by block from the first,
+``cols``, ``shape`` and ``blocks(rows)``, which returns ``fill(start, stop,
+out)``. That returns rows ``start:stop`` (``start`` a multiple of ``rows``),
+written into the C-contiguous ``out`` or as a view where they are held so,
+and refuses a non-finite value. ``each_block``, the one loop of every save,
+eval and the sweep, calls ``fill`` one block at a time, in ascending order of
+``start``; a source that writes is filled block by block from the first,
 while a pass over any other may start at any block, as eval's shares of
 queries do. A ``SimilarityMatrix``, an open SIMM file (``SimmReader``) and
 the simulator's per-condition generator provide it; the first two also give
@@ -78,6 +78,25 @@ def _check_block(values: np.ndarray, rows, cols) -> None:
         _check_finite(values, values.min(), values.max(), rows, cols)
 
 
+def block_rows(source, scores: int) -> int:
+    """Rows of a block of about ``scores`` values of a block source, at least one."""
+    return max(1, scores // max(1, source.shape[1]))
+
+
+def each_block(source, use, scores: int, lo: int = 0, hi: int | None = None) -> None:
+    """Call ``use(start, stop, block)`` on rows ``lo:hi`` (default: all; ``lo``
+    a block bound) of a block source, ``block_rows(source, scores)`` rows at a
+    time in ascending order. Each block is valid only during the call: all are
+    filled into one buffer, allocated here once, or are views of a matrix."""
+    hi = source.shape[0] if hi is None else hi
+    rows = block_rows(source, scores)
+    out = np.empty((min(rows, hi - lo), source.shape[1]))
+    fill = source.blocks(rows)
+    for start in range(lo, hi, rows):
+        stop = min(start + rows, hi)
+        use(start, stop, fill(start, stop, out[: stop - start]))
+
+
 def _copy_transposed(out: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Copy ``columns.T`` into ``out``, ``_TILE_ROWS`` rows of ``columns`` at a time."""
     for at in range(0, len(columns), _TILE_ROWS):
@@ -135,13 +154,11 @@ class SimilarityMatrix:
     def T(self) -> _Transposed:
         return _Transposed(self)
 
-    @contextmanager
     def blocks(self, rows: int):
-        yield lambda start, stop, out: self.values[start:stop]
+        return lambda start, stop, out: self.values[start:stop]
 
-    @contextmanager
     def _column_blocks(self, rows: int):
-        yield lambda start, stop, out: _copy_transposed(out, self.values[:, start:stop])
+        return lambda start, stop, out: _copy_transposed(out, self.values[:, start:stop])
 
     def transposed(self):
         return type(self)(rows=self.cols, cols=self.rows, values=self.values.T)
@@ -167,28 +184,16 @@ class RelevancyMatrix(SimilarityMatrix):
             raise ShapeMismatchError("relevancy values must lie in [0, 1]")
 
 
-def _in_order(source, use) -> None:
-    """Call ``use(start, block)`` on each block of ``source``'s rows in file
-    order, each of about ``_SAVE_VALUES`` values, filled into one buffer."""
-    nrows, ncols = source.shape
-    step = max(1, _SAVE_VALUES // max(1, ncols))
-    out = np.empty((min(step, nrows), ncols))
-    with source.blocks(step) as fill:
-        for start in range(0, nrows, step):
-            stop = min(start + step, nrows)
-            use(start, fill(start, stop, out[: stop - start]))
-
-
 def _write_text(source, fh) -> None:
     """Write the text format of a block source to an open text file, row by row."""
     writer = csv_writer(fh, (*source.rows, *source.cols))
     writer.writerow(["", *source.cols])
 
-    def write(start, block):
-        for row_id, values in zip(source.rows[start:], block):
+    def write(start, stop, block):
+        for row_id, values in zip(source.rows[start:stop], block):
             writer.writerow([row_id, *map(repr, values.tolist())])
 
-    _in_order(source, write)
+    each_block(source, write, _SAVE_VALUES)
 
 
 def to_text(matrix) -> str:
@@ -301,16 +306,15 @@ class SimmWriter:
         fh.seek(0)
         fh.write(MAGIC + bytes([VERSION]) + struct.pack("<II", nrows, ncols))
 
-    @contextmanager
     def blocks(self, rows: int):
-        with self.source.blocks(rows) as fill:
+        fill = self.source.blocks(rows)
 
-            def write(start, stop, out):
-                block = fill(start, stop, out)
-                self._fh.write(np.ascontiguousarray(block, "<f8").reshape(-1).view(np.uint8))
-                return block
+        def write(start, stop, out):
+            block = fill(start, stop, out)
+            self._fh.write(np.ascontiguousarray(block, "<f8").reshape(-1).view(np.uint8))
+            return block
 
-            yield write
+        return write
 
 
 @contextmanager
@@ -394,7 +398,6 @@ class SimmReader:
                 self._read_into(offset, row)
             offset += step
 
-    @contextmanager
     def blocks(self, rows: int):
         def fill(start, stop, out):
             with _named(self.name):
@@ -402,9 +405,8 @@ class SimmReader:
                 _check_block(out, self.rows[start:stop], self.cols)
             return out
 
-        yield fill
+        return fill
 
-    @contextmanager
     def _column_blocks(self, rows: int):
         """The blocks of ``T``, cut from groups of file columns a multiple of
         ``rows`` wide, within ``_GROUP_BYTES``. A block whose group is not the
@@ -429,7 +431,7 @@ class SimmReader:
                 _check_block(out.T, self.rows, self.cols[start:stop])
             return out
 
-        yield fill
+        return fill
 
     def load(self) -> SimilarityMatrix:
         """Read every value into one array, which the matrix keeps."""
@@ -440,7 +442,7 @@ class SimmReader:
 
 def _write_simm(source, fh) -> None:
     """Write a block source to a binary file object as SIMM, in file order."""
-    _in_order(SimmWriter(source, fh), lambda start, block: None)
+    each_block(SimmWriter(source, fh), lambda start, stop, block: None, _SAVE_VALUES)
 
 
 def to_binary(matrix) -> bytes:

@@ -11,26 +11,25 @@ relevance, relevance at the AP threshold, its GT column) land in its sorted
 row (``positions``), and a GT rank or a top k is a compare count or a partial
 partition (``gt_ranks``, ``top_k``). Each kernel resolves tie-free rows itself
 and hands a row with a tie it cannot order to ``ranking``.
-Blocks of queries are filled and scored in turn, each writing only its own
-queries' results. Asked to fork (as the CLI's eval asks), ``metrics_report``
-cuts each direction's queries into P contiguous shares at block bounds, P
-the processes ``forking.plan`` gives, at most ``_PROCESSES``, and maps them
-with ``forking.fork_map``: process p scores share p of t2v and then of v2t,
-the calling process share 0 and forked children the rest, and the shares'
-per-query results are joined in query order, so they do not depend on the
-process count.
+Blocks of queries are filled and scored in turn (``matrices.each_block``),
+each writing only its own queries' results. Asked to fork (as the CLI's eval
+asks), ``metrics_report`` cuts each direction's queries into P shares, row
+ranges ``lo:hi`` cut at block bounds, P the processes ``forking.plan``
+gives, at most ``_PROCESSES``, and maps them with ``forking.fork_map``:
+process p scores share p of t2v and then of v2t, the calling process share
+0 and forked children the rest, and the shares' per-query results are
+joined in query order, so they do not depend on the process count.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from framebias._numpy import np
 from framebias.dataset import Dataset, frame_length
 from framebias.errors import DegenerateInputError, NotFoundError, ShapeMismatchError
 from framebias.forking import fork_map, plan
-from framebias.matrices import RelevancyMatrix, SimilarityMatrix
+from framebias.matrices import RelevancyMatrix, SimilarityMatrix, block_rows, each_block
 
 DIRECTIONS = ("t2v", "v2t", "avg")
 RECALL_KS = (1, 5, 10)  # cutoffs of each direction's recall
@@ -38,30 +37,10 @@ _BLOCK_SCORES = 1 << 17  # scores ranked at once: a block's scratch arrays stay 
 _PROCESSES = 4  # processes that score eval's shares at once, at most; ``forking.plan`` caps them by the usable CPUs
 
 
-def _block_bounds(source, scores: int | None = None) -> list[tuple[int, int]]:
-    """Blocks of rows of about ``scores`` scores (``_BLOCK_SCORES``), at least one row each."""
-    rows = max(1, (scores or _BLOCK_SCORES) // max(1, source.shape[1]))
+def _block_bounds(source) -> list[tuple[int, int]]:
+    """Eval's blocks of rows, of about ``_BLOCK_SCORES`` scores, at least one row each."""
+    rows = block_rows(source, _BLOCK_SCORES)
     return [(start, min(start + rows, source.shape[0])) for start in range(0, source.shape[0], rows)]
-
-
-def _each_block(source, score, block_scores: int | None = None) -> None:
-    """Call ``score(start, stop, scores, scratch)`` on each block of a block
-    source's rows (see ``matrices``) in turn.
-
-    A block holds about ``block_scores`` (``_BLOCK_SCORES``) scores, at least
-    one row. Every block is filled into one buffer (a matrix in memory hands
-    out views of its rows; for v2t, ``matrix.T`` copies its columns, so no
-    transposed matrix is made). ``scratch`` is a second such buffer of the
-    block's shape, free for the callback to overwrite. Both are valid only
-    during the call. Both are allocated here once: fresh block-sized
-    temporaries can each cost a new mmap and its page faults.
-    """
-    bounds = _block_bounds(source, block_scores)
-    rows = bounds[0][1] if bounds else 1
-    block, scratch = np.empty((2, min(rows, source.shape[0]), source.shape[1]))
-    with source.blocks(rows) as fill:
-        for start, stop in bounds:
-            score(start, stop, fill(start, stop, block[: stop - start]), scratch[: stop - start])
 
 
 def positions(scores: np.ndarray, tracked: np.ndarray, out: np.ndarray | None = None):
@@ -170,31 +149,35 @@ def recall_at_k(ranks, k: int) -> float:
     return sum(1 for r in ranks if r <= k) / len(ranks)
 
 
-def _scan(source, relevance, threshold=1.0, depth=None, gt=None):
+def _scan(source, relevance, threshold=1.0, depth=None, gt=None, lo=0, hi=None):
     """Per-query nDCG and AP and the index-tie, optimistic and pessimistic ranks
-    of gallery indices ``gt``. nDCG is NaN where the ideal DCG is not positive
-    (negative dense relevance can cancel it), AP where nothing reaches the
-    threshold.
+    of gallery indices ``gt``, of the queries ``lo:hi`` (default: all; ``lo``
+    a block bound). nDCG is NaN where the ideal DCG is not positive (negative
+    dense relevance can cancel it), AP where nothing reaches the threshold.
 
     ``source`` is a block source of the scores. ``relevance`` is a dense
     array oriented like it, or the verb and noun codes ``(qv, qn, gv, gn)`` of
     queries and gallery; the ideal DCG of class relevance comes in closed form
-    from its counts of 1.0 and 0.5.
+    from its counts of 1.0 and 0.5; it and ``gt`` index every query. Blocks
+    are sorted into one scratch buffer: fresh block-sized ones can each cost
+    an mmap and its page faults.
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     nq, ng = source.shape
+    hi = nq if hi is None else hi
     depth = ng if depth is None else min(depth, ng)
     disc = np.zeros(ng + 1)  # discount at each rank; zero past the depth
     disc[1 : depth + 1] = 1.0 / np.log2(np.arange(2, depth + 2))
     gain = np.cumsum(disc)  # DCG of j relevant items ranked first
-    ndcg, ap = np.full((2, nq), np.nan)
-    ranks = np.zeros((3, nq), dtype=np.int64)
+    ndcg, ap = np.full((2, hi - lo), np.nan)
+    ranks = np.zeros((3, hi - lo), dtype=np.int64)
+    scratch = np.empty((min(block_rows(source, _BLOCK_SCORES), hi - lo), ng))
     codes = isinstance(relevance, tuple)
     scale = 0.5 if codes else 1.0  # class relevance counts matching components
 
-    def score(start, stop, scores, scratch):
-        nb = stop - start
+    def score(start, stop, scores):
+        nb, own = stop - start, slice(start - lo, stop - lo)
         if codes:
             qv, qn, gv, gn = relevance
             rel = (gv == qv[start:stop, None]).view(np.int8) + (gn == qn[start:stop, None]).view(np.int8)
@@ -203,7 +186,7 @@ def _scan(source, relevance, threshold=1.0, depth=None, gt=None):
         tracked = (rel != 0) | (rel >= threshold / scale)
         if gt is not None:
             tracked[np.arange(nb), gt[start:stop]] = True
-        row, col, rank, left, right = positions(scores, tracked, scratch)
+        row, col, rank, left, right = positions(scores, tracked, scratch[:nb])
         gains = scale * rel[row, col]
         if codes:
             positive = np.bincount(row[gains > 0], minlength=nb)
@@ -213,30 +196,17 @@ def _scan(source, relevance, threshold=1.0, depth=None, gt=None):
             ranked.sort(axis=1)
             ideal = (ranked[:, ::-1][:, :depth] * disc[1 : depth + 1]).sum(axis=1)
         dcg = np.bincount(row, gains * disc[rank], minlength=nb)
-        np.divide(dcg, ideal, out=ndcg[start:stop], where=ideal > 0)
+        np.divide(dcg, ideal, out=ndcg[own], where=ideal > 0)
         hit = np.flatnonzero(gains >= threshold)  # in rank order within each row
         total = np.bincount(row[hit], minlength=nb)
         seen = np.arange(1, hit.size + 1) - np.repeat(np.cumsum(total) - total, total)
-        np.divide(np.bincount(row[hit], seen / rank[hit], minlength=nb), total, out=ap[start:stop], where=total > 0)
+        np.divide(np.bincount(row[hit], seen / rank[hit], minlength=nb), total, out=ap[own], where=total > 0)
         if gt is not None:
             at = np.flatnonzero(col == gt[start:stop][row])
-            ranks[:, start:stop] = rank[at], left[at] + 1, right[at]
+            ranks[:, own] = rank[at], left[at] + 1, right[at]
 
-    _each_block(source, score)
+    each_block(source, score, _BLOCK_SCORES, lo, hi)
     return ndcg, ap, ranks
-
-
-class _Share:
-    """Rows ``lo:hi`` of a block source, ``lo`` one of its block bounds, as a block source."""
-
-    def __init__(self, source, lo: int, hi: int) -> None:
-        self.source, self.lo = source, lo
-        self.rows, self.cols, self.shape = source.rows[lo:hi], source.cols, (hi - lo, source.shape[1])
-
-    @contextmanager
-    def blocks(self, rows: int):
-        with self.source.blocks(rows) as fill:
-            yield lambda start, stop, out: fill(self.lo + start, self.lo + stop, out)
 
 
 def _shares(source, processes: int) -> list[tuple[int, int]]:
@@ -248,20 +218,12 @@ def _shares(source, processes: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:] + [source.shape[0]]))
 
 
-def _scan_share(source, codes, gt, lo: int, hi: int, threshold, depth):
-    """``_scan`` of the queries ``lo:hi`` (a share from ``_shares``) of a
-    direction given whole: its block source, the class codes ``(qv, qn, gv,
-    gn)`` of its queries and gallery, and each query's GT column, -1 where it
-    has none."""
-    qv, qn, gv, gn = codes
-    share = _Share(source, lo, hi)
-    return _scan(share, (qv[lo:hi], qn[lo:hi], gv, gn), threshold, depth, np.maximum(gt[lo:hi], 0))
-
-
 def _scan_directions(directions, threshold, depth, fork: bool) -> list:
-    """The ``_scan`` of each direction ``(source, codes, gt)`` (see
-    ``_scan_share``) in shares of its queries: one share, or with ``fork``
-    one per process that ``forking.plan`` gives, at most ``_PROCESSES``.
+    """The ``_scan`` of each direction ``(source, codes, gt)`` in shares of
+    its queries: one share, or with ``fork`` one per process that
+    ``forking.plan`` gives, at most ``_PROCESSES``. A direction is its block
+    source, the class codes ``(qv, qn, gv, gn)`` of its queries and gallery,
+    and each query's GT column, -1 where it has none.
 
     Item ``(d, p)`` of the ``fork_map`` is share p of direction d, so process
     p scans share p of each direction in turn, and the error raised is that
@@ -273,7 +235,8 @@ def _scan_directions(directions, threshold, depth, fork: bool) -> list:
 
     def scan(item):
         d, p = item
-        return _scan_share(*directions[d], *cuts[d][p], threshold, depth)
+        source, codes, gt = directions[d]
+        return _scan(source, codes, threshold, depth, np.maximum(gt, 0), *cuts[d][p])
 
     scans = fork_map(scan, [(d, p) for d in range(len(directions)) for p in range(processes)], processes)
     return [
@@ -376,8 +339,7 @@ def inspect_query(sim, dataset: Dataset, query_id: str, k: int) -> list[InspectE
     if query_clip is None:
         raise NotFoundError(f"query id {query_id!r} does not resolve to a clip")
     i = sim.rows.index(query_id)
-    with sim.blocks(1) as fill:
-        row = fill(i, i + 1, np.empty((1, len(sim.cols))))[0]
+    row = sim.blocks(1)(i, i + 1, np.empty((1, len(sim.cols))))[0]
     out = []
     for j in ranking(row)[:k]:
         clip = _gallery_clip(sim, dataset, j)
@@ -446,7 +408,7 @@ def metrics_report(
         missing = next((i for i in ids if i not in dataset.by_id), None)
         if missing is not None:
             # a file's non-finite value is named first, as loading it names it
-            _each_block(sim, lambda *block: None)
+            each_block(sim, lambda *block: None, _BLOCK_SCORES)
             raise NotFoundError(f"matrix {side} id {missing!r} does not resolve to a clip")
     if not sim.rows or not sim.cols:
         raise ValueError("query and gallery class lists must be non-empty")

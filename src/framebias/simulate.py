@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from framebias import metrics
@@ -38,8 +38,8 @@ from framebias.audit import class_stats
 from framebias.dataset import ActionClass, ClipRecord, Dataset, class_of, frame_length
 from framebias.errors import DegenerateInputError
 from framebias.filtering import FilterConfig, filter_margin, filter_single_class
-from framebias.matrices import SimilarityMatrix, SimmWriter
-from framebias.metrics import _block_bounds, _each_block, gt_ranks, recall_at_k, top_k
+from framebias.matrices import SimilarityMatrix, SimmWriter, block_rows, each_block
+from framebias.metrics import gt_ranks, recall_at_k, top_k
 
 GENERATOR_ID = "numpy-default-rng-pcg64"
 _NOISE_STREAM = 0x6E6F6973  # keeps clip noise independent of the length draws
@@ -152,7 +152,7 @@ def _bucketer(config: SimConfig, lengths) -> tuple:
     return bucket, lo, hi
 
 
-class _Shared:
+class _TestSide:
     """What every condition of one dataset shares: its test clips' ids,
     lengths and classes, and, built once per key they depend on, the
     test-side codes and the noise."""
@@ -195,9 +195,8 @@ class _Synthesis:
         noise = tuple((weight, dims[rows]) for weight, dims in self.noise)
         return _Synthesis(ids, self.cols, captions, self.clips, self.table, self.noise_t, noise)
 
-    @contextmanager
     def blocks(self, rows: int):
-        yield self._fill
+        return self._fill
 
     def _fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Rows ``start:stop`` of the matrix, into ``out``."""
@@ -214,7 +213,7 @@ class _Synthesis:
         return out
 
 
-def _match_components(shared: _Shared, train_reference: Dataset):
+def _match_components(shared: _TestSide, train_reference: Dataset):
     """The class count, per-clip codes (``qi``: class index, ``qb``/``cb``:
     caption/clip bucket) and provenance of one condition; caption i matches
     clip j on class where ``qi[i] == qi[j]`` and on length where
@@ -249,7 +248,7 @@ def _match_components(shared: _Shared, train_reference: Dataset):
     return len(known), qi, qb, cb, provenance
 
 
-def _synthesis(shared: _Shared, train_reference: Dataset) -> tuple[_Synthesis, dict]:
+def _synthesis(shared: _TestSide, train_reference: Dataset) -> tuple[_Synthesis, dict]:
     config = shared.config
     num_classes, qi, qb, cb, provenance = _match_components(shared, train_reference)
     lam = config.bias_strength
@@ -288,12 +287,12 @@ def synth_similarity(
     The blocks of the condition's source are collected into the matrix, so
     besides it only the noise and one block's scratch are held.
     """
-    source, provenance = _synthesis(_Shared(dataset, config), train_reference)
+    source, provenance = _synthesis(_TestSide(dataset, config), train_reference)
     values = np.empty(source.shape)
-    bounds = _block_bounds(source)
-    with source.blocks(bounds[0][1]) as fill:
-        for start, stop in bounds:
-            fill(start, stop, values[start:stop])
+    rows = block_rows(source, metrics._BLOCK_SCORES)
+    fill = source.blocks(rows)
+    for start in range(0, len(values), rows):  # in place: ``each_block`` would fill a buffer and copy it
+        fill(start, min(start + rows, len(values)), values[start : start + rows])
     return SimilarityMatrix(rows=source.rows, cols=source.cols, values=values), provenance
 
 
@@ -328,13 +327,13 @@ def _condition_metrics(source, gt: np.ndarray, lengths: np.ndarray, topk: int):
     k = min(topk, source.shape[1])
     ranks, topk_sums = np.empty((2, len(gt)), dtype=np.int64)
 
-    def score(start, stop, scores, _scratch):
+    def score(start, stop, scores):
         ranks[start:stop] = gt_ranks(scores, gt[start:stop])
         topk_sums[start:stop] = lengths[top_k(scores, k)].sum(axis=1)
 
     # half eval's blocks: building a block and partitioning its top k each
     # hold a block-sized temporary beside it, and smaller blocks sweep no slower
-    _each_block(source, score, metrics._BLOCK_SCORES // 2)
+    each_block(source, score, metrics._BLOCK_SCORES // 2)
     ranks, topk_means = ranks.tolist(), (topk_sums / k).tolist()
     return sum(ranks) / len(ranks), recall_at_k(ranks, 10), sum(topk_means) / len(topk_means)
 
@@ -372,7 +371,7 @@ def bias_sweep(
     rows = []
     for cfg in configs:
         dataset = synth_dataset(cfg)
-        shared = _Shared(dataset, cfg)
+        shared = _TestSide(dataset, cfg)
         gt = np.arange(len(shared.ids))  # the rows and the columns are the same clips
         lengths = np.array(shared.lengths, dtype=np.int64)
 
@@ -411,7 +410,7 @@ def single_class_ablation(
     for seed in seeds:
         cfg = replace(config, seed=seed)
         dataset = synth_dataset(cfg)
-        shared = _Shared(dataset, cfg)
+        shared = _TestSide(dataset, cfg)
         lengths = np.array(shared.lengths, dtype=np.int64)
         source, _ = _synthesis(shared, dataset)
         targets = [i for i, ac in enumerate(shared.classes) if ac == action_class]

@@ -1,4 +1,4 @@
-"""``metrics._each_block`` fills and scores a block source's blocks in turn:
+"""``matrices.each_block`` fills and scores a block source's blocks in turn:
 in order, into one reused buffer, and no block after one that fails. Each
 block writes only its own queries' results and the means are summed afterwards
 in query order, so no output may depend on the block size: the invariance
@@ -10,12 +10,12 @@ block.
 for a call, for the reader tests of ``test_simm_reader``.
 """
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from framebias import metrics
+from framebias import matrices, metrics
 from framebias.errors import DegenerateInputError
 from framebias.matrices import RelevancyMatrix, SimilarityMatrix
 from framebias.simulate import SimConfig, bias_sweep, synth_dataset, synth_similarity
@@ -115,7 +115,6 @@ class Recording:
         self.rows, self.cols, self.shape = tuple(map(str, range(nrows))), ("a", "b"), (nrows, 2)
         self.fail_at, self.started, self.running = fail_at, [], set()
 
-    @contextmanager
     def blocks(self, rows):
         def fill(start, stop, out):
             self.started.append((start, bool(self.running)))
@@ -128,7 +127,7 @@ class Recording:
             finally:
                 self.running.discard(start)
 
-        yield fill
+        return fill
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7, 60])  # rows per block; 60 puts every row in one block
@@ -137,7 +136,7 @@ def test_blocks_are_filled_one_at_a_time_in_order(monkeypatch, rows, fail_at):
     monkeypatch.setattr(metrics, "_BLOCK_SCORES", 2 * rows)  # two columns
     source, scored = Recording(60, fail_at), []
     with pytest.raises(BlockFailure) if fail_at is not None else nullcontext():
-        metrics._each_block(source, lambda start, stop, scores, scratch: scored.append(scores[0, 0]))
+        matrices.each_block(source, lambda start, stop, scores: scored.append(scores[0, 0]), metrics._BLOCK_SCORES)
     # no fill overlaps another, they come in block order, and none follows a
     # failing one; every block filled before it is scored
     starts = list(range(0, 60, rows))
@@ -192,18 +191,28 @@ def test_blocks_are_views_or_one_reused_buffer(monkeypatch):
     for source, matrix in ((sim, values), (sim.T, values.T)):
         blocks = []
 
-        def score(start, stop, scores, scratch):
-            assert np.array_equal(scores, matrix[start:stop]) and scratch.shape == scores.shape
-            blocks.append((start, scores.ctypes.data, np.shares_memory(scores, values), scratch.ctypes.data))
-            scratch[...] = np.nan  # the callback may overwrite its scratch
+        def score(start, stop, scores):
+            assert np.array_equal(scores, matrix[start:stop])
+            blocks.append((start, scores.ctypes.data, np.shares_memory(scores, values)))
 
-        metrics._each_block(source, score)
-        assert [start for start, _, _, _ in blocks] == list(range(0, 20, 3))
-        assert len({scratch for _, _, _, scratch in blocks}) == 1
+        matrices.each_block(source, score, metrics._BLOCK_SCORES)
+        assert [start for start, _, _ in blocks] == list(range(0, 20, 3))
         if matrix is values:  # t2v rows: views into the matrix
-            assert [(address, shared) for _, address, shared, _ in blocks] == [
-                (values.ctypes.data + start * values.strides[0], True) for start, _, _, _ in blocks
+            assert [(address, shared) for _, address, shared in blocks] == [
+                (values.ctypes.data + start * values.strides[0], True) for start, _, _ in blocks
             ]
         else:  # v2t rows: copied into the same buffer each time
-            assert len({address for _, address, _, _ in blocks}) == 1
-            assert not any(shared for _, _, shared, _ in blocks)
+            assert len({address for _, address, _ in blocks}) == 1
+            assert not any(shared for _, _, shared in blocks)
+    # ``_scan`` sorts every block into one scratch buffer of its own
+    positions, outs = metrics.positions, []
+
+    def recorded(scores, tracked, out=None):
+        assert out.shape == scores.shape and not np.shares_memory(out, values)
+        outs.append(out.base)
+        return positions(scores, tracked, out)
+
+    monkeypatch.setattr(metrics, "positions", recorded)
+    metrics.ndcg_average(sim, RelevancyMatrix(rows=ids, cols=ids, values=np.eye(20)))  # a t2v and a v2t scan
+    assert len(outs) == 2 * 7
+    assert all(base is outs[0] for base in outs[:7]) and all(base is outs[7] for base in outs[7:])

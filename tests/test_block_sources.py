@@ -8,7 +8,7 @@ import itertools
 import os
 import subprocess
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import ExitStack, contextmanager, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from framebias.filtering import FilterConfig, SumSource, filter_margin, sum_simi
 from framebias.matrices import (
     SimilarityMatrix, from_binary, from_text, load_matrix, open_matrix, save_matrix, to_binary, to_text,
 )
-from framebias.simulate import SimConfig, _Shared, _synthesis, _Synthesis, synth_dataset, synth_similarity
+from framebias.simulate import SimConfig, _TestSide, _synthesis, _Synthesis, synth_dataset, synth_similarity
 
 from test_matrix_memory import traced_peak
 
@@ -99,7 +99,7 @@ def test_matrix_files_with_a_lone_cr_round_trip(tmp_path, name):
 
 def synthesis(config, reference=None):
     dataset = synth_dataset(config)
-    return _synthesis(_Shared(dataset, config), dataset if reference is None else reference(dataset))[0], dataset
+    return _synthesis(_TestSide(dataset, config), dataset if reference is None else reference(dataset))[0], dataset
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
@@ -111,15 +111,84 @@ def test_the_generator_is_the_collected_matrix_both_ways(monkeypatch, noise, fil
     source, dataset = synthesis(config, reference)
     sim, _ = synth_similarity(dataset, config, reference(dataset) if filtered else dataset)
     out = np.empty(source.shape)
-    metrics._each_block(source, lambda start, stop, scores, scratch: np.copyto(out[start:stop], scores))
+    matrices.each_block(source, lambda start, stop, scores: np.copyto(out[start:stop], scores), metrics._BLOCK_SCORES)
     assert np.array_equal(out.view(np.int64), sim.values.view(np.int64))
     rows = [3, 0, 17, 35]
     taken = source.taking(rows)
     out = np.empty(taken.shape)
-    with taken.blocks(4) as fill:
-        fill(0, 4, out)
+    taken.blocks(4)(0, 4, out)
     assert taken.rows == tuple(sim.rows[i] for i in rows)
     assert np.array_equal(out.view(np.int64), sim.values[rows].view(np.int64))
+
+
+ROWS = 3  # rows of each block of the row-range tests
+
+
+def row_range_source(kind, tmp_path, monkeypatch, stack):
+    """A block source of one ``kind`` and the matrix it is, collected; an
+    open file is closed by ``stack``."""
+    rng = np.random.default_rng(0)
+    ids = tuple(f"c{i}" for i in range(17))
+    a, b = (SimilarityMatrix(rows=ids, cols=ids[:14], values=rng.normal(size=(17, 14))) for _ in range(2))
+    if kind == "synthesis":
+        config = SimConfig(num_classes=5, train_per_class=4, test_per_class=4, class_len_spread=300.0, noise_stddev=0.05)
+        source, dataset = synthesis(config)
+        return source, synth_similarity(dataset, config, dataset)[0].values
+    if kind == "sum":
+        return SumSource([a, b], mean=True), sum_similarity_matrices([a, b], mean=True).values
+    if kind in ("matrix", "matrix.T"):
+        return (a, a.values) if kind == "matrix" else (a.T, a.values.T)
+    # the transpose's groups hold two blocks, so a pass from row ROWS starts inside one
+    monkeypatch.setattr(matrices, "_GROUP_BYTES", 8 * 17 * 2 * ROWS)
+    save_matrix(a, tmp_path / "a.simm")
+    reader = stack.enter_context(open_matrix(tmp_path / "a.simm"))
+    return (reader, a.values) if kind == "reader" else (reader.T, a.values.T)
+
+
+@pytest.mark.parametrize("kind", ["matrix", "matrix.T", "reader", "reader.T", "sum", "synthesis"])
+def test_each_block_hands_out_the_rows_of_its_range_in_order(tmp_path, monkeypatch, kind):
+    with ExitStack() as stack:
+        source, collected = row_range_source(kind, tmp_path, monkeypatch, stack)
+        nrows, ncols = source.shape
+        scores = (ROWS + 1) * ncols - 1
+        assert matrices.block_rows(source, scores) == ROWS
+        lo, hi = ROWS, nrows - 1  # from the second block; the last block is short
+        assert (hi - lo) % ROWS
+        blocks = []
+        matrices.each_block(source, lambda start, stop, block: blocks.append((start, stop, block.tobytes())),
+                            scores, lo, hi)
+    assert [(start, stop) for start, stop, _ in blocks] == [(at, min(at + ROWS, hi)) for at in range(lo, hi, ROWS)]
+    assert b"".join(block for *_, block in blocks) == np.ascontiguousarray(collected[lo:hi]).tobytes()
+
+
+class Filled:
+    """A block source of the rows ``source`` fills, which records each block filled."""
+
+    def __init__(self, source):
+        self.source, self.rows, self.cols, self.shape, self.filled = source, source.rows, source.cols, source.shape, []
+
+    def blocks(self, rows):
+        fill = self.source.blocks(rows)
+
+        def record(start, stop, out):
+            self.filled.append((start, stop))
+            return fill(start, stop, out)
+
+        return record
+
+
+@pytest.mark.parametrize("name", ["m.csv", "m.simm"])
+def test_a_save_fills_its_file_in_order_in_bounded_blocks(tmp_path, monkeypatch, name):
+    ids = tuple(f"c{i}" for i in range(17))
+    matrix = SimilarityMatrix(rows=ids, cols=ids[:13], values=np.random.default_rng(1).normal(size=(17, 13)))
+    save_matrix(matrix, tmp_path / "whole")  # in one block
+    expected = to_binary(matrix) if name.endswith(".simm") else (tmp_path / "whole").read_bytes()
+    monkeypatch.setattr(matrices, "_SAVE_VALUES", ROWS * 13 + 12)
+    source = Filled(matrix)
+    save_matrix(source, tmp_path / name)
+    assert source.filled == [(at, min(at + ROWS, 17)) for at in range(0, 17, ROWS)]
+    assert all((stop - start) * 13 <= matrices._SAVE_VALUES for start, stop in source.filled)
+    assert (tmp_path / name).read_bytes() == expected
 
 
 SIM_ARGS = ["simulate", "--classes", "6", "--train-per-class", "8", "--test-per-class", "4",
@@ -296,10 +365,10 @@ def test_a_failed_block_stops_the_column_reader(tmp_path, monkeypatch):
     read_columns = matrices.SimmReader._read_columns
     monkeypatch.setattr(matrices.SimmReader, "_read_columns", lambda *args: reads.append(args[1]) or read_columns(*args))
 
-    def score(start, stop, scores, scratch):
+    def score(start, stop, scores):
         if start == 7:
             raise ValueError("block 7")
 
     with open_matrix(tmp_path / "m.simm") as reader, pytest.raises(ValueError, match="^block 7$"):
-        metrics._each_block(reader.T, score)
+        matrices.each_block(reader.T, score, metrics._BLOCK_SCORES)
     assert reads == [0, 2, 4, 6]  # no group is read past the failed block's

@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framebias.dataset import (
@@ -14,6 +14,7 @@ from framebias.dataset import (
     build_class_index,
     class_of,
     frame_length,
+    length_sum,
     load_annotations,
     parse_annotations,
     to_native_csv,
@@ -244,3 +245,13 @@ def test_clip_record_is_a_tuple_in_native_column_order():
     assert CLIP._replace(stop_frame=20) == ClipRecord("a", "v", "train", 2, 20, "x", 1, 1)
     copy = pickle.loads(pickle.dumps(CLIP))
     assert copy == CLIP and type(copy) is ClipRecord
+
+
+@given(st.lists(st.tuples(st.integers(0, 1 << 40), st.integers(0, 1 << 40)), max_size=30))
+@example(spans=[])
+@settings(max_examples=200, deadline=None)
+def test_length_sum_is_the_sum_of_frame_lengths(spans):
+    clips = [ClipRecord(f"c{i}", "v", "train", start, start + length, "cap", 0, 0)
+             for i, (start, length) in enumerate(spans)]
+    assert length_sum(clips) == sum(map(frame_length, clips))
+    assert length_sum(tuple(clips)) == length_sum(clips)

@@ -184,7 +184,7 @@ def test_shares_scanned_one_after_another_give_one_scan(tmp_path, monkeypatch, p
             for threshold in THRESHOLDS:
                 for depth in DEPTHS:
                     whole = metrics._scan(source, codes, threshold, depth, np.maximum(gt, 0))
-                    parts = [metrics._scan_share(source, codes, gt, lo, hi, threshold, depth) for lo, hi in shares]
+                    parts = [metrics._scan(source, codes, threshold, depth, np.maximum(gt, 0), lo, hi) for lo, hi in shares]
                     joined = [np.concatenate(arrays, axis=-1) for arrays in zip(*parts)]
                     assert [array.tobytes() for array in joined] == [array.tobytes() for array in whole]
 
@@ -203,8 +203,8 @@ def test_a_pass_over_the_transpose_may_start_inside_a_column_group(tmp_path, mon
         return read_columns(reader, first, out)
 
     monkeypatch.setattr(matrices.SimmReader, "_read_columns", counted)
-    with open_matrix(tmp_path / "m.simm") as reader, reader.T.blocks(3) as fill:
-        out = np.empty((3, 11))
+    with open_matrix(tmp_path / "m.simm") as reader:
+        fill, out = reader.T.blocks(3), np.empty((3, 11))
         for at in range(start, 17, 3):
             block = fill(at, min(at + 3, 17), out[: min(3, 17 - at)])
             assert block.tobytes() == values.T[at : at + 3].tobytes(), at
@@ -221,6 +221,6 @@ def test_a_group_of_every_column_is_one_read(tmp_path):
     with open_matrix(tmp_path / "m.simm") as reader:
         pread, reads = reader._pread, []
         reader._pread = lambda buf, offset: reads.append(len(buf)) or pread(buf, offset)
-        metrics._each_block(reader.T, lambda start, stop, scores, scratch: blocks.append(scores.tobytes()))
+        matrices.each_block(reader.T, lambda start, stop, scores: blocks.append(scores.tobytes()), metrics._BLOCK_SCORES)
     assert b"".join(blocks) == values.T.tobytes()
     assert reads == [values.nbytes]  # not one read per file row

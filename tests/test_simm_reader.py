@@ -159,7 +159,7 @@ def test_a_file_that_shrinks_after_it_is_opened(tmp_path, monkeypatch):
             metrics.metrics_report(reader, dataset)
         # and so does a pass over its transpose
         with pytest.raises(AnnotationParseError, match=f"^{path}: SIMM values ended early"):
-            metrics._each_block(reader.T, lambda *block: None)
+            matrices.each_block(reader.T, lambda *block: None, metrics._BLOCK_SCORES)
 
 
 def test_every_transposed_block_is_read_once(tmp_path, monkeypatch):
@@ -178,11 +178,11 @@ def test_every_transposed_block_is_read_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(matrices.SimmReader, "_read_columns", counted)
 
-    def score(start, stop, scores, scratch):
+    def score(start, stop, scores):
         scored.append((start, stop, scores.tolist()))
 
     with open_matrix(tmp_path / "m.simm") as reader:
-        metrics._each_block(reader.T, score)
+        matrices.each_block(reader.T, score, metrics._BLOCK_SCORES)
     # a group buffer reused before all its blocks were copied out shows here
     assert scored == [(j, j + 1, [values[:, j].tolist()]) for j in range(ncols)]
     assert reads == list(range(0, ncols, 3))  # each group is read once
@@ -257,9 +257,9 @@ def test_the_v2t_pass_holds_one_column_group(tmp_path):
     group = 8 * n * max(1, matrices._GROUP_BYTES // (8 * n * rows)) * rows  # a group's bytes
     with open_matrix(tmp_path / "m.simm") as reader:
         assert n > 2 * group // (8 * n)  # more than two groups: two buffers would both be filled
-        peak, _ = traced_peak(metrics._each_block, reader.T, lambda *block: None)
-    # one group, and the block and scratch buffers, with 1 MB for the rest
-    assert peak <= group + 2 * 8 * rows * n + (1 << 20)
+        peak, _ = traced_peak(matrices.each_block, reader.T, lambda *block: None, metrics._BLOCK_SCORES)
+    # one group and the block buffer, with 1 MB for the rest
+    assert peak <= group + 8 * rows * n + (1 << 20)
 
 
 @pytest.mark.parametrize("group_blocks", [1, 2, 3])  # 3: the last group of the 11 columns is short
@@ -276,10 +276,10 @@ def test_transposed_blocks_are_copied_exactly_across_tiles(tmp_path, monkeypatch
 
     def blocks(source):
         scored = {}
-        def score(start, stop, scores, scratch):
+        def score(start, stop, scores):
             scored[start, stop] = scores.tobytes()
 
-        metrics._each_block(source, score)
+        matrices.each_block(source, score, metrics._BLOCK_SCORES)
         return scored
 
     expected = {(start, min(start + 2, ncols)): values.T[start : start + 2].tobytes() for start in range(0, ncols, 2)}

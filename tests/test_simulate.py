@@ -19,7 +19,7 @@ from framebias.simulate import (
     _NOISE_STREAM,
     SimConfig,
     _match_components,
-    _Shared,
+    _TestSide,
     bias_sweep,
     class_for_index,
     simulate,
@@ -170,7 +170,7 @@ class TestSynthSimilarity:
         cfg = SimConfig(num_classes=4, train_per_class=5, test_per_class=3,
                         noise_stddev=0.0, seed=8, class_len_spread=100)
         ds = synth_dataset(cfg)
-        _, qi, qb, cb, _ = _match_components(_Shared(ds, cfg), ds)
+        _, qi, qb, cb, _ = _match_components(_TestSide(ds, cfg), ds)
         class_match, bucket_match = qi[:, None] == qi, qb[:, None] == cb
         # a length term that matches everywhere or nowhere would say nothing
         assert bucket_match.any() and not bucket_match.all()
@@ -277,7 +277,7 @@ def n2_similarity(dataset, config, train_reference):
     """The matrix as built whole: N x N class- and bucket-match matrices, one
     table lookup over all of them, then each row's noise from two scaled
     copies of the transposed noise."""
-    num_classes, qi, qb, cb, _ = _match_components(_Shared(dataset, config), train_reference)
+    num_classes, qi, qb, cb, _ = _match_components(_TestSide(dataset, config), train_reference)
     lam = config.bias_strength
     a, b = (1.0 - lam) ** 2, lam**2
     table = np.array([0.0, a, b, a + b])
