@@ -12,12 +12,11 @@ import gc
 import math
 import os
 import sys
-from contextlib import ExitStack, contextmanager, suppress
-from functools import partial
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from framebias import __version__, forking
-from framebias.atomic import open_atomic, open_temp, replace, temp_beside
+from framebias.atomic import open_atomic
 from framebias.audit import (
     class_stats,
     discrepancy_table,
@@ -106,35 +105,31 @@ def cmd_audit(args) -> int:
         "discrepancy_table": discrepancy_table(stats),
         "histogram": histogram_dict(hist, selected),
     }
-    if args.hist_out:
-        with open_atomic(args.hist_out) as fh:
+    with ExitStack() as stack:  # the report is written inside the histogram's open_atomic
+        if args.hist_out:
+            fh = stack.enter_context(open_atomic(args.hist_out))
             fh.write(histogram_csv(hist))
-    write_report(args.out, build_envelope("audit", _echo(args), payload))
+            fh.flush()  # whole before the report is renamed
+        write_report(args.out, build_envelope("audit", _echo(args), payload))
     return 0
 
 
 def _write_filtered(args, filtered, envelope) -> None:
     """Write the filtered CSV to ``--out`` and the report to ``--report`` at
     once, as two items of one ``fork_map`` (in turn, where ``forking.plan``
-    gives one process), each to a temp file beside its target. Once both are
-    whole, the CSV replaces its target and then the report. If either fails,
-    neither target is touched, and the CSV's error is raised before the
-    report's."""
-    outputs = [(args.out, partial(write_native_csv, filtered)), (args.report, partial(layout_report, envelope))]
-    temps = [temp_beside(path) for path, _ in outputs]
+    gives one process), each to its ``open_atomic`` temp file, which a forked
+    child inherits open. Neither target is replaced before both files are
+    whole; if either fails, neither is touched, and the CSV's error is raised
+    before the report's."""
 
-    def write(i):
-        with open_temp(temps[i], outputs[i][0]) as fh:
-            outputs[i][1](fh)
+    def write(item):  # a forked child leaves through os._exit, which flushes nothing
+        layout, value, fh = item
+        layout(value, fh)
+        fh.flush()
 
-    try:
-        forking.fork_map(write, range(len(outputs)), forking.plan(len(outputs)))
-        for tmp, (path, _) in zip(temps, outputs):
-            replace(tmp, path)
-    finally:  # a temp file written but not renamed
-        for tmp in temps:
-            with suppress(FileNotFoundError):
-                os.unlink(tmp)
+    with open_atomic(args.out) as csv_fh, open_atomic(args.report) as report_fh:
+        outputs = [(write_native_csv, filtered, csv_fh), (layout_report, envelope, report_fh)]
+        forking.fork_map(write, outputs, forking.plan(len(outputs)))
 
 
 def cmd_filter(args) -> int:
@@ -226,11 +221,12 @@ def cmd_simulate(args) -> int:
         # bias_sweep checks its arguments before the first condition
         out_dir.mkdir(parents=True, exist_ok=True)
         tag = f"seed{seed}" if alpha is None else f"seed{seed}_alpha{alpha:g}"
-        # the matrix is written as the condition is scored; a failed one leaves neither file
-        with open_atomic(out_dir / f"sim_{tag}{'_baseline' if alpha is None else ''}.simm", "wb") as fh:
+        simm = out_dir / f"sim_{tag}{'_baseline' if alpha is None else ''}.simm"
+        # the matrix is written as the condition is scored, then the CSV; a failed one leaves neither file
+        with open_atomic(simm, "wb") as fh, open_atomic(out_dir / f"annotations_{tag}.csv") as csv_fh:
             yield fh
-        with open_atomic(out_dir / f"annotations_{tag}.csv") as fh:
-            write_native_csv(reference, fh)
+            fh.flush()  # whole before the CSV is renamed
+            write_native_csv(reference, csv_fh)
 
     def sweep(seed):
         return bias_sweep(config, alphas, [seed], min_class_size=args.min_class_size, topk=args.topk, on_condition=emit)

@@ -235,14 +235,14 @@ class SumSource:
 
     def blocks(self, rows: int):
         first, *rest = (s.blocks(rows) for s in self.sources)
+        scratch = np.empty((min(rows, self.shape[0]), self.shape[1]))  # one per pass, not per block
 
         def fill(start, stop, out):
             block = first(start, stop, out)
             if block is not out:  # a matrix's rows come as a view
                 np.copyto(out, block)
-            term = np.empty_like(out)
             for other in rest:
-                out += other(start, stop, term)
+                out += other(start, stop, scratch[: stop - start])
             if self.mean:
                 out /= len(self.sources)
             return out

@@ -235,6 +235,9 @@ def test_a_failed_condition_leaves_no_file(tmp_path, monkeypatch, capsys, where)
             def seek(self, *args):
                 return self.fh.seek(*args)
 
+            def flush(self):
+                return self.fh.flush()
+
             def write(self, data):
                 if next(calls) == 30:  # and the ids and header: in the second condition
                     raise OSError(28, "No space left on device")
@@ -325,6 +328,31 @@ def test_sum_source_names_a_bad_value_and_writes_nothing(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.simm", "good.simm"]
     with pytest.raises(ValueError, match="at least one"):
         SumSource([])
+
+
+class Noting:
+    """A block source whose ``fill`` gives each row its index and notes the buffer it was handed."""
+
+    def __init__(self, nrows) -> None:
+        self.rows = self.cols = tuple(map(str, range(nrows)))
+        self.shape, self.buffers = (nrows, nrows), []
+
+    def blocks(self, rows):
+        def fill(start, stop, out):
+            self.buffers.append(out.ctypes.data)
+            out[...] = np.arange(start, stop)[:, None]
+            return out
+
+        return fill
+
+
+def test_a_sum_fills_its_other_inputs_into_one_buffer_per_pass():
+    first, second, third = Noting(5), Noting(5), Noting(5)
+    rows = []
+    matrices.each_block(SumSource([first, second, third]), lambda start, stop, block: rows.extend(block[:, 0]), 10)
+    assert rows == [3 * i for i in range(5)]  # in blocks of 2, 2 and 1 rows
+    assert len(second.buffers) == 3 and set(second.buffers) == set(third.buffers) == {second.buffers[0]}
+    assert first.buffers[0] != second.buffers[0]
 
 
 def test_inspect_reads_only_the_query_row(square_files, tmp_path):

@@ -39,11 +39,12 @@ def annotations(tmp_path_factory):
     return path
 
 
-def run_filter(work, command, annotations, out, report, pinned) -> tuple[int, int, str]:
+def run_filter(work, command, annotations, out, report, pinned, patch="") -> tuple[int, int, str]:
     """The exit code, fork count and stderr of ``command`` in a fresh
-    interpreter, pinned to one CPU or not; no process may be left."""
+    interpreter, pinned to one CPU or not, after the script ``patch``; no
+    process may be left."""
     argv = [command, "--annotations", str(annotations), *COMMANDS[command], "--out", str(out), "--report", str(report)]
-    code, stdout, stderr = run_sweep((PIN if pinned else "") + COUNT_FORKS, argv, work)
+    code, stdout, stderr = run_sweep((PIN if pinned else "") + patch + COUNT_FORKS, argv, work)
     assert code == 0, stderr
     counted = json.loads(stdout)
     return counted["code"], counted["forks"], stderr
@@ -95,6 +96,33 @@ def test_a_failed_output_leaves_both_targets_as_they_were(tmp_path, annotations,
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
 
     code, forks, stderr = run_filter(tmp_path, command, annotations, out, report, pinned)
-    assert (code, forks) == (1, 0 if pinned else 1)
+    assert (code, forks) == (1, 0)  # a target that cannot be created fails before anything forks
     assert stderr == f"framebias {command}: error: {message.format(out=out, report=report)}\n"
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before  # no .tmp left either
+
+
+# the report's writer puts part of the report in its temp file, on the
+# process that runs it, and then finds the disk full
+FULL_DISK = """
+import errno, os
+from framebias import cli
+
+def layout_report(envelope, fh):
+    fh.write('{"partial": ')
+    fh.flush()
+    assert os.fstat(fh.fileno()).st_size > 0
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+cli.layout_report = layout_report
+"""
+
+
+@pytest.mark.parametrize("pinned", LAYOUTS)
+def test_a_report_that_fails_midway_leaves_both_targets_as_they_were(tmp_path, annotations, pinned):
+    out, report = tmp_path / "f.csv", tmp_path / "f.json"
+    out.write_bytes(b"old csv\n")
+    report.write_bytes(b"old report\n")
+    code, forks, stderr = run_filter(tmp_path, "filter", annotations, out, report, pinned, FULL_DISK)
+    assert (code, forks) == (1, 0 if pinned else 1)
+    assert stderr == "framebias filter: error: [Errno 28] No space left on device\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"f.csv": b"old csv\n", "f.json": b"old report\n"}
